@@ -1,35 +1,59 @@
-"""Flagship pipeline: blocking + automaton pairwise scoring + transitive
-clustering over Common-Crawl-style pages (the north star).
+"""Flagship pipeline: blocking + pairwise scoring + transitive clustering
+over Common-Crawl-style pages (the north star).
 
-Dataflow (all lazy, streaming executor, Arrow batches)::
+Dataflow of the default ``engine="vectorized"`` (Arrow batches)::
 
-    read_parquet(pages)                      columns pruned at the read
-      -> map_batches(extract_batch)          canonical text + title, html dropped
-      -> map_batches(blocking_keys_batch)    explode to (block_key, url, key_string)
-      -> groupby(block_key)                  shuffle #1 (the blocking shuffle)
-           .map_groups(BlockScorer)          per-block trie + automaton traversal
-      -> dedup edges                         shuffle #2 (same canonical pair from
-                                             several bands)
-      -> connected_components                shuffles #3..k (min-label rounds)
-      -> (url, cluster_id)
+    pages
+      -> extract_batch                  canonical text + title, html dropped
+      -> blocking_keys_batch            explode to (block_key, url, key_string)
+      -> score_bucket_vectorized_arrow  per hash bucket of block_key
+      -> min-dedup on (url_a, url_b)    a pair arrives via several keys
+      -> connected_components           -> (url, cluster_id)
 
-Every stage can checkpoint per-partition parquet + manifest via
+``er_pairs`` runs it as a ``local`` plan (one driver process, pages
+streamed, key table scored in pair-budgeted chunks cut by the exchange's
+bucket hash, no exchange) or a ``distributed`` one (Ray Data map stages,
+an exchange on ``block_key``, another on ``(url_a, url_b)`` for the
+dedup).  Every stage can checkpoint per-partition parquet + manifest via
 ``CheckpointManager`` and resumes by fingerprint.
 """
 
+import os
+
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..kernel import STANDARD
 from ..stages.blocking import blocking_keys_batch
 from ..stages.extract import extract_batch, EXTRACTOR_VERSION
-from ..stages.scorer import BlockScorer
 from ..stages.cluster import connected_components
+from ..stages.grouped import (
+    _with_schema_sentinel, bucketed_apply, bucketed_apply_arrow,
+    bucketed_group_apply, hash_buckets,
+)
+from ..stages.scorer import (
+    BlockScorer, CandidateScorerActor, _empty_candidates, _empty_edges,
+    _empty_edges_arrow, candidate_pairs_bucket, score_bucket_vectorized,
+    score_bucket_vectorized_arrow, score_candidates_bucket,
+)
 from ..state.checkpoint import CheckpointManager
+
+# er_pairs wall of the distributed plan over the local plan's, on one CPU,
+# by page count (docs/SCALE.md section 16; 200k was measured at 209k and
+# is also the driver-memory cap).  See _local_max_pages.
+LOCAL_SPEEDUPS = ((2_006, 19.6), (5_116, 12.2), (10_360, 10.9),
+                  (41_987, 9.0), (104_526, 4.1), (200_000, 2.5))
+# Candidate title pairs per local-plan chunk.  er_dense (7.1M pairs), one
+# chunk: 2.4 s, 1346 MB peak RSS; 1M: 2.9 s, 383 MB; 250k: 2.1 s, 268 MB;
+# 100k: 1.8-2.0 s, 221-233 MB; 25k: 3.0 s (per-chunk overhead wins).
+LOCAL_PAIR_BUDGET = 100_000
+LOCAL_READ_ROWS = 16_384
 
 
 def read_pages(source):
     """``source`` is a parquet path/dir or an existing Dataset/arrow table."""
-    import pyarrow as pa
     import ray.data as rd
 
     if isinstance(source, str):
@@ -39,7 +63,44 @@ def read_pages(source):
     return source
 
 
-def _auto_buckets(source, ds, floor: int = 256, cap: int = 4096,
+def _parquet_files(path: str) -> list[str] | None:
+    """The files ``rd.read_parquet(path)`` reads, where that is plain: a
+    local file, or a local directory whose files are all visible
+    ``*.parquet``.  None for anything else (remote URIs, other file names,
+    ``_``/``.``-prefixed entries), whose listing is left to Ray's rules."""
+    if "://" in path:
+        return None
+    if not os.path.isdir(path):
+        return [path]
+    files = []
+    for root, _dirs, names in os.walk(path):
+        for name in names:
+            f = os.path.join(root, name)
+            parts = os.path.relpath(f, path).split(os.sep)
+            if not name.endswith(".parquet") or any(p[0] in "._" for p in parts):
+                return None
+            files.append(f)
+    return sorted(files) or None
+
+
+def _page_count(source) -> int | None:
+    """Exact page count from metadata alone: parquet footers (ms) for a
+    local path, ``num_rows`` for a table, and for a Dataset the count Ray
+    knows without executing (reads, limits, materialized data).  None when
+    the count is unknown (derived lazy plans, paths ``_parquet_files``
+    cannot list); footer I/O errors raise."""
+    if isinstance(source, pa.Table):
+        return source.num_rows
+    if isinstance(source, str):
+        files = _parquet_files(source)
+        if not files:
+            return None
+        return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    meta_count = getattr(source, "_meta_count", None)  # what count() consults
+    return meta_count() if meta_count else None
+
+
+def _auto_buckets(n_pages: int | None, floor: int = 256, cap: int = 4096,
                   pages_per_bucket: int = 1024) -> int:
     """Scale the exchange bucket count with corpus size (~1k pages/bucket).
 
@@ -48,33 +109,82 @@ def _auto_buckets(source, ds, floor: int = 256, cap: int = 4096,
     scorer task at 1024 buckets), while interleaved warm-pool A/B measured
     4096 buckets at 47.0/34.3 s vs 1024 at 52.3/41.5 s — finer buckets
     spread quadratic-cost blocks across sort ranges, so ~1k pages/bucket
-    is the round-3 default (sf0.1 still lands on the 256 floor — the bench
-    physical plan is unchanged).  Row counts come from parquet FILE
-    METADATA only (ms) — ``Dataset.count()`` would spin up read tasks
-    (~3 s).  Unknown inputs keep the floor; the cap bounds the sort
-    fan-out on this single node (at cluster scale pass ``n_buckets``
-    explicitly — thousands to millions)."""
-    try:
-        files = None
-        if isinstance(source, str):
-            import glob as _glob
-            import os as _os
-
-            files = (
-                sorted(_glob.glob(_os.path.join(source, "*.parquet")))
-                if _os.path.isdir(source)
-                else [source]
-            )
-        elif hasattr(ds, "input_files"):
-            files = ds.input_files()
-        if not files:
-            return floor
-        import pyarrow.parquet as pq
-
-        n_pages = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-        return max(floor, min(cap, n_pages // pages_per_bucket))
-    except Exception:
+    is the round-3 default (small inputs land on the 256 floor, and below
+    the local guard they take no exchange at all).  Unknown page counts
+    keep the floor; the cap bounds the sort fan-out on this single node
+    (at cluster scale pass ``n_buckets`` explicitly — thousands to
+    millions)."""
+    if n_pages is None:
         return floor
+    return max(floor, min(cap, n_pages // pages_per_bucket))
+
+
+def _min_dedup(tbl):
+    """Keep the smallest distance per ``(url_a, url_b)``.  use_threads=False:
+    in the distributed plan this runs inside a 1-CPU Ray task, where
+    Acero's own thread pool would oversubscribe the worker."""
+    g = tbl.group_by(["url_a", "url_b"], use_threads=False).aggregate(
+        [("distance", "min")]
+    )
+    return g.rename_columns(["url_a", "url_b", "distance"])
+
+
+def _page_batches(source):
+    """Pages as Arrow tables, a parquet batch at a time, so ``html`` is
+    never held for the whole corpus."""
+    if isinstance(source, pa.Table):
+        for b in source.to_batches(max_chunksize=LOCAL_READ_ROWS):
+            yield pa.Table.from_batches([b])
+    elif isinstance(source, str):  # _page_count listed it
+        for f in _parquet_files(source):
+            for b in pq.ParquetFile(f).iter_batches(batch_size=LOCAL_READ_ROWS):
+                yield pa.Table.from_batches([b])
+    else:
+        yield from source.iter_batches(batch_size=None, batch_format="pyarrow")
+
+
+def _local_max_pages(cpus: float) -> int:
+    """Largest page count the local plan takes on ``cpus`` CPUs: the
+    largest measured size whose one-CPU speedup is at least ``cpus``, as
+    ``cpus`` CPUs speed the distributed plan up at most ``cpus``-fold."""
+    return max((p for p, x in LOCAL_SPEEDUPS if x >= cpus), default=0)
+
+
+def _cluster_cpus() -> float:
+    import ray
+
+    if not ray.is_initialized():  # as Ray Data does on first use
+        ray.init()
+    return ray.cluster_resources().get("CPU", 0)
+
+
+def _local_pairs(source, stats: dict, **score_kwargs):
+    """The local plan: the distributed plan's stage functions in one
+    process.  Blocks never straddle chunks (chunks are hash buckets of
+    ``block_key``, as in the exchange), so the edges are the same."""
+    pages, parts = 0, []
+    for t in _page_batches(source):
+        pages += t.num_rows
+        parts.append(blocking_keys_batch(extract_batch(t)))
+    keys = pa.concat_tables(parts) if parts else pa.schema(
+        [(c, pa.string()) for c in ("block_key", "url", "key_string")]).empty_table()
+    # chunk count from the candidate pairs: distinct titles per block, k(k-1)/2
+    k = (keys.group_by(["block_key", "key_string"], use_threads=False).aggregate([])
+         .group_by("block_key", use_threads=False).aggregate([("key_string", "count")])
+         ["key_string_count"].to_numpy())
+    n_chunks = max(1, -(-int((k * (k - 1) // 2).sum()) // LOCAL_PAIR_BUDGET))
+    chunk = hash_buckets(keys, ["block_key"], n_chunks)
+    order = np.argsort(chunk, kind="stable")
+    bounds = np.searchsorted(chunk[order], np.arange(n_chunks + 1))
+    keys_by_chunk = keys.take(pa.array(order))
+    scored = [
+        score_bucket_vectorized_arrow(keys_by_chunk.slice(lo, hi - lo), **score_kwargs)
+        for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
+    ]
+    edges = _min_dedup(pa.concat_tables(scored)) if scored else _empty_edges_arrow()
+    stats.update(plan="local", pages=pages, key_rows=keys.num_rows,
+                 chunks=n_chunks, edges=edges.num_rows)
+    return edges
 
 
 def er_pairs(
@@ -88,17 +198,18 @@ def er_pairs(
     engine: str = "vectorized",
     max_block_strings: int = 512,
     n_buckets: int | None = None,
+    stats: dict | None = None,
 ):
     """Pages -> canonical deduped candidate edges (url_a, url_b, distance).
 
     ``engine="vectorized"`` (default) scores pairs per block bucket with
     the numpy banded-DP kernel (the reference's SIMD distance-matrix
-    path), then dedups url pairs in a second small exchange.  The same
-    title pair co-occurs under several blocking keys, so this path scores
-    each distinct pair ~3x — MEASURED cheaper than avoiding it: the
-    banded DP is ~3 us/pair while the alternative ships every candidate's
-    string pair through a 12x-larger exchange (31 vs 22 CPU-seconds and
-    +6 s wall at sf0.1/32 cores; see docs/SCALE.md "score-once A/B").
+    path), then dedups url pairs.  The same title pair co-occurs under
+    several blocking keys, so this path scores each distinct pair ~3x —
+    MEASURED cheaper than avoiding it: the banded DP is ~3 us/pair while
+    the alternative ships every candidate's string pair through a
+    12x-larger exchange (31 vs 22 CPU-seconds and +6 s wall at sf0.1/32
+    cores; see docs/SCALE.md "score-once A/B").
     ``engine="vectorized_once"`` keeps the score-once plan: phase A emits
     unscored candidates keyed by canonical string pair, the pair exchange
     co-locates duplicates, phase B scores each distinct pair exactly once.
@@ -107,122 +218,81 @@ def er_pairs(
     scorer cost vs ~60 bytes/candidate of extra exchange payload.
     ``engine="automaton"`` runs the per-block trie + automaton traversal —
     output-identical (pinned by tests) and the reference-parity /
-    restricted-substitution engine."""
+    restricted-substitution engine.
+
+    The default engine (no ``emit_all_pairs``, no ``scorer_concurrency``)
+    runs as a local plan in the driver, with no exchange, when
+    :func:`_page_count` knows the page count and it is at most
+    :func:`_local_max_pages` for the Ray cluster's CPU count; everything
+    else runs the distributed plan.  Both give identical edges (pinned by
+    tests).  Crossover, er_pairs wall on a 1-CPU host, distributed ->
+    local: 2.0k pages 2.32 -> 0.12 s, 10.4k 4.96 -> 0.45 s, 42k 17.3 ->
+    1.9 s, 105k 28.4 -> 6.9 s, 209k 34.3 -> 13.5 s.  Many-core crossovers
+    are unmeasured, so the guard grants the distributed plan a perfect
+    speedup in CPUs: 200k pages on 1-2 CPUs, 105k on 4, none from 20.
+
+    ``stats`` receives ``plan``, ``pages`` (None if unknown) and
+    ``chunks`` or ``n_buckets``; the local plan adds ``key_rows`` and
+    ``edges``.  It is the pairs stage's checkpoint ``counters``."""
+    if engine not in ("vectorized", "vectorized_once", "automaton"):
+        raise ValueError(f"unknown engine {engine!r}")
+    local_ok = engine == "vectorized" and not emit_all_pairs and not scorer_concurrency
     ck = checkpoints or CheckpointManager("", enabled=False)
     fp = f"{fingerprint}|x{EXTRACTOR_VERSION}|d{max_distance}|{algorithm}|{engine}"
+    stats = {} if stats is None else stats
+    score_kw = dict(max_distance=max_distance, algorithm=algorithm,
+                    max_block_strings=max_block_strings)
 
     def compute():
+        import ray.data as rd
+
         from .context import configure_data_context
-        from ..stages.grouped import bucketed_group_apply, bucketed_apply
-        from ..stages.scorer import (
-            _empty_candidates,
-            _empty_edges,
-            candidate_pairs_bucket,
-            score_candidates_bucket,
-        )
 
         configure_data_context()
+        pages = _page_count(source)
+        if local_ok and pages is not None and pages <= _local_max_pages(_cluster_cpus()):
+            return rd.from_arrow(_local_pairs(source, stats, **score_kw))
+        nb = n_buckets if n_buckets is not None else _auto_buckets(pages)
+        stats.update(plan="distributed", pages=pages, n_buckets=nb)
         ds = read_pages(source)
-        nonlocal n_buckets
-        if n_buckets is None:
-            n_buckets = _auto_buckets(source, ds)
         ds = ds.map_batches(extract_batch, batch_format="pyarrow")
         ds = ds.map_batches(blocking_keys_batch, batch_format="pyarrow")
-        if engine == "vectorized" and not emit_all_pairs and not scorer_concurrency:
+        if local_ok:
             # single-phase, all-Arrow: score within each block bucket, dedup
             # url pairs in a second (edge-sized) exchange.  Batches stay
             # pa.Table through both exchanges — row-level strings never
             # become Python objects (only each bucket's DISTINCT strings
             # cross into Python, for the DP kernel).
-            from ..stages.grouped import bucketed_apply_arrow
-            from ..stages.scorer import (
-                _empty_edges_arrow,
-                score_bucket_vectorized_arrow,
-            )
-
-            def min_dedup(tbl):
-                # use_threads=False: this runs inside a 1-CPU Ray task —
-                # Acero's own thread pool would oversubscribe the worker
-                g = tbl.group_by(["url_a", "url_b"], use_threads=False).aggregate(
-                    [("distance", "min")]
-                )
-                return g.rename_columns(["url_a", "url_b", "distance"])
-
             edges = bucketed_apply_arrow(
-                ds,
-                "block_key",
-                lambda tbl: score_bucket_vectorized_arrow(
-                    tbl, max_distance=max_distance,
-                    max_block_strings=max_block_strings, algorithm=algorithm,
-                ),
-                n_buckets=n_buckets,
-                empty_result=_empty_edges_arrow(),
+                ds, "block_key",
+                lambda tbl: score_bucket_vectorized_arrow(tbl, **score_kw),
+                n_buckets=nb, empty_result=_empty_edges_arrow(),
             )
             # bucket by the full pair: raw scorer pairs rarely share an
             # endpoint (measured at sf5.0: single-endpoint co-location
             # contracts <1%), so single-column keys buy downstream
             # clustering nothing and the two-column hash spreads best.
             return bucketed_apply_arrow(
-                edges,
-                ["url_a", "url_b"],
-                min_dedup,
-                n_buckets=n_buckets,
-                empty_result=_empty_edges_arrow(),
+                edges, ["url_a", "url_b"], _min_dedup,
+                n_buckets=nb, empty_result=_empty_edges_arrow(),
             )
-        if engine == "vectorized_pandas" and not emit_all_pairs and not scorer_concurrency:
-            # the pandas-exchange twin, kept for A/B and as fallback
-            from ..stages.scorer import score_bucket_vectorized
-
-            edges = bucketed_apply(
-                ds,
-                "block_key",
-                lambda df: score_bucket_vectorized(
-                    df, max_distance=max_distance,
-                    max_block_strings=max_block_strings, algorithm=algorithm,
-                ),
-                n_buckets=n_buckets,
-                empty_result=_empty_edges(),
-            )
-            return bucketed_apply(
-                edges,
-                ["url_a", "url_b"],
-                lambda df: df.groupby(["url_a", "url_b"], as_index=False)["distance"].min(),
-                n_buckets=n_buckets,
-                empty_result=_empty_edges(),
-            )
-        if engine in ("vectorized", "vectorized_pandas", "vectorized_once") and not emit_all_pairs:
+        if engine != "automaton" and not emit_all_pairs:
             # phase A: per block-bucket star edges + unscored candidates
             cand = bucketed_apply(
-                ds,
-                "block_key",
-                lambda df: candidate_pairs_bucket(
-                    df, max_distance=max_distance,
-                    max_block_strings=max_block_strings, algorithm=algorithm,
-                ),
-                n_buckets=n_buckets,
-                empty_result=_empty_candidates(),
+                ds, "block_key", lambda df: candidate_pairs_bucket(df, **score_kw),
+                n_buckets=nb, empty_result=_empty_candidates(),
             )
             # phase B: exchange on the string pair, score each distinct
             # pair once, dedup url pairs (global — one key_string per url)
             if scorer_concurrency:
                 # stateful actor pool: per-actor universal-automaton tables
                 # built once in __init__ (north-star shape)
-                import numpy as np
-                import pandas as pd
-
-                from ..stages.grouped import _with_schema_sentinel
-                from ..stages.scorer import CandidateScorerActor
-
-                def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-                    df = df.copy()
-                    h = pd.util.hash_pandas_object(df[["s_a", "s_b"]], index=False)
-                    df["__bucket"] = (
-                        h.to_numpy().astype("uint32") % np.uint32(64)
-                    ).astype("int32")
-                    return df
+                def add_bucket(t):
+                    return t.append_column(
+                        "__bucket", pa.array(hash_buckets(t, ["s_a", "s_b"], 64)))
 
                 return _with_schema_sentinel(
-                    cand.map_batches(add_bucket, batch_format="pandas")
+                    cand.map_batches(add_bucket, batch_format="pyarrow")
                     .groupby("__bucket")
                     .map_groups(
                         CandidateScorerActor,
@@ -241,7 +311,7 @@ def er_pairs(
                 lambda df: score_candidates_bucket(
                     df, max_distance=max_distance, algorithm=algorithm
                 ),
-                n_buckets=n_buckets,
+                n_buckets=nb,
                 empty_result=_empty_edges(),
             )
         scorer = BlockScorer(
@@ -256,7 +326,7 @@ def er_pairs(
             ds,
             "block_key",
             scorer,
-            n_buckets=n_buckets,
+            n_buckets=nb,
             min_group_size=2,
             empty_result=_empty_edges(),
         )
@@ -268,7 +338,7 @@ def er_pairs(
             lambda df: df.groupby(["url_a", "url_b"], as_index=False)["distance"].min(),
         )
 
-    return ck.run_stage("pairs", fp, compute)
+    return ck.run_stage("pairs", fp, compute, counters=stats)
 
 
 def er_clusters(
@@ -326,10 +396,6 @@ def _score_blocks_all_pairs(sub, max_distance, algorithm, max_block_strings):
     ``score_bucket_vectorized`` is NOT equivalent here: it always collapses
     identical strings to distance-0 stars and scores one representative url
     per distinct string."""
-    import pandas as pd
-
-    from ..stages.scorer import BlockScorer, _empty_edges
-
     scorer = BlockScorer(
         max_distance=max_distance, algorithm=algorithm,
         emit_all_pairs=True, max_block_strings=max_block_strings,
@@ -376,11 +442,7 @@ def er_pairs_incremental(
     keys, so old-old pairs co-block identically (in base) and every pair
     touching a new page lives in a rescored block (in delta) — this is the
     SQL-oracle-checkable restatement the driver verifies."""
-    import pandas as pd
-
     from .context import configure_data_context
-    from ..stages.grouped import bucketed_apply
-    from ..stages.scorer import _empty_edges, score_bucket_vectorized
 
     configure_data_context()
 
@@ -458,14 +520,9 @@ def er_pairs_decremental(
     surviving base pairs ARE the from-scratch pairs and the rescored hot
     blocks only re-derive a subset of them — the SQL-oracle-checkable
     restatement the driver verifies."""
-    import pandas as pd
-    import pyarrow as pa
-
     import ray
 
     from .context import configure_data_context
-    from ..stages.grouped import bucketed_apply
-    from ..stages.scorer import _empty_edges, score_bucket_vectorized
 
     configure_data_context()
     rm_ref = ray.put(frozenset(removed_urls))

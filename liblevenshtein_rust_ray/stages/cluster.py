@@ -459,8 +459,8 @@ def _distributed_cc(pairs, max_rounds: int, n_buckets: int = 64,
     # all-int exchange (was two url-keyed exchanges; at sf2.0 this phase
     # was 17.3 s of a 37.9 s total — the strings were crossing the wire
     # twice).  Each edge explodes into two endpoint rows tagged with a
-    # 128-bit CONTENT key of the pair (two independent keyed 64-bit
-    # hashes of "url_a\\0url_b" — vectorized, deterministic across
+    # 128-bit CONTENT key of the pair (the two endpoints' keyed 64-bit
+    # url hashes, combined per word — vectorized, deterministic across
     # processes); the url exchange attaches each endpoint's int id, and
     # the endpoints re-meet on an exchange keyed by the edge key's first
     # word — 25 bytes/row, no strings.  A spurious edge needs two
@@ -476,9 +476,12 @@ def _distributed_cc(pairs, max_rounds: int, n_buckets: int = 64,
     # columns.  Same collision class as the edge key (a wrong id needs
     # two DISTINCT urls agreeing on all 128 bits, p ~ |V|²/2^129); a
     # first-word hash tie between different urls is handled by a
-    # forward scan (expected zero iterations).
+    # forward scan (expected zero iterations).  The urls are hashed as
+    # UTF-8 BYTES: pandas hashes a str object only up to its first NUL,
+    # so "x" and "x\x00y" would share every hash (bytes hash in full,
+    # and to the same value as the str when there is no NUL).
     def _url_hash2(arr: pa.Array):
-        ao = arr.to_numpy(zero_copy_only=False)
+        ao = arr.cast(pa.binary()).to_numpy(zero_copy_only=False)
         h1 = pd.util.hash_array(ao, hash_key="llrr-url-key-001"
                                 ).view(np.int64)
         h2 = pd.util.hash_array(ao, hash_key="llrr-url-key-002"
@@ -488,14 +491,14 @@ def _distributed_cc(pairs, max_rounds: int, n_buckets: int = 64,
     def edge_endpoint_rows(t: pa.Table) -> pa.Table:
         a = t.column("url_a").combine_chunks().cast(pa.string())
         b = t.column("url_b").combine_chunks().cast(pa.string())
-        joined = pc.binary_join_element_wise(a, b, "\x00")
-        jo = joined.to_numpy(zero_copy_only=False)
-        e1 = pd.util.hash_array(jo, hash_key="llrr-edge-key-01"
-                                ).view(np.int64)
-        e2 = pd.util.hash_array(jo, hash_key="llrr-edge-key-02"
-                                ).view(np.int64)
         h1a, h2a = _url_hash2(a)
         h1b, h2b = _url_hash2(b)
+        # the edge key combines the two endpoints' keyed hashes; hashing
+        # a joined "url_a NUL url_b" string made ("x", "y\x00z") and
+        # ("x\x00y", "z") one key and paired the wrong endpoints
+        mix = np.uint64(0x9E3779B97F4A7C15)
+        e1 = ((h1a.view(np.uint64) * mix) ^ h1b.view(np.uint64)).view(np.int64)
+        e2 = ((h2a.view(np.uint64) * mix) ^ h2b.view(np.uint64)).view(np.int64)
         n = t.num_rows
         return pa.table({
             "u1": pa.array(np.concatenate([h1a, h1b]), type=pa.int64()),

@@ -178,39 +178,43 @@ def _schema_probe(fn, bucket: pd.DataFrame, key_cols) -> pd.DataFrame:
     return pd.DataFrame()
 
 
+def hash_buckets(tbl, key_cols, n_buckets: int):
+    """Bucket id (int32 numpy array) per row of ``tbl``: each key column's
+    DICTIONARY is hashed (distinct values only — pandas siphash for
+    cross-process determinism) and the code ``take``n per row; multi-column
+    keys combine per-column hashes with a polynomial mix.  The bucketed
+    exchange and ``er_pairs``' local plan cut rows by this one function."""
+    import pyarrow.compute as pc
+
+    acc = np.zeros(tbl.num_rows, dtype=np.uint32)
+    for c in key_cols:
+        d = pc.dictionary_encode(tbl[c].combine_chunks())
+        hd = (
+            pd.util.hash_pandas_object(d.dictionary.to_pandas(), index=False)
+            .to_numpy()
+            .astype(np.uint32)
+        )
+        acc = acc * np.uint32(1000003) ^ hd[d.indices.to_numpy()]
+    return (acc % np.uint32(n_buckets)).astype(np.int32)
+
+
 def bucketed_apply_arrow(ds, key_cols, bucket_fn, n_buckets: int = 256,
                          empty_result=None):
     """Arrow-native :func:`bucketed_apply`: batches stay ``pa.Table`` end to
-    end, so exchange rows never become Python objects.  Bucket assignment
-    hashes each key column's DICTIONARY (distinct values only — pandas
-    siphash for cross-process determinism) and ``take``s the code per row;
-    multi-column keys combine per-column hashes with a polynomial mix.
-    ``bucket_fn(pa.Table) -> pa.Table`` must return the same schema for
-    every bucket; ``empty_result`` (a typed 0-row ``pa.Table``) is unioned
-    as the schema sentinel."""
-    import numpy as np
+    end, so exchange rows never become Python objects; rows are bucketed
+    by :func:`hash_buckets`.  ``bucket_fn(pa.Table) -> pa.Table`` must
+    return the same schema for every bucket; ``empty_result`` (a typed
+    0-row ``pa.Table``) is unioned as the schema sentinel."""
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data as rd
 
     if isinstance(key_cols, str):
         key_cols = [key_cols]
 
     def add_bucket(tbl: pa.Table) -> pa.Table:
-        nrows = tbl.num_rows
-        if nrows == 0:
-            return tbl.append_column("__bucket", pa.array([], type=pa.int32()))
-        acc = np.zeros(nrows, dtype=np.uint32)
-        for c in key_cols:
-            d = pc.dictionary_encode(tbl[c].combine_chunks())
-            hd = (
-                pd.util.hash_pandas_object(d.dictionary.to_pandas(), index=False)
-                .to_numpy()
-                .astype(np.uint32)
-            )
-            acc = acc * np.uint32(1000003) ^ hd[d.indices.to_numpy()]
-        bucket = (acc % np.uint32(n_buckets)).astype(np.int32)
-        return tbl.append_column("__bucket", pa.array(bucket, type=pa.int32()))
+        return tbl.append_column(
+            "__bucket", pa.array(hash_buckets(tbl, key_cols, n_buckets),
+                                 type=pa.int32()))
 
     def apply_bucket(tbl: pa.Table) -> pa.Table:
         return bucket_fn(tbl.drop_columns(["__bucket"]))

@@ -151,40 +151,6 @@ def score_block_pandas(group: pd.DataFrame, **kwargs) -> pd.DataFrame:
     return BlockScorer(**kwargs)(group)
 
 
-class BucketScorerActor:
-    """Actor-pool form of the bucket scorer (the north star's "stateful
-    actor pool": ``groupby(...).map_groups(BucketScorerActor,
-    concurrency=N, fn_constructor_kwargs=...)``).
-
-    ``__init__`` runs ONCE PER ACTOR and holds the cross-bucket state: the
-    parametric universal-automaton tables (kernel.universal — the
-    broadcast-once scoring tables of SURVEY.md §2.4) and a symmetric-pair
-    distance memo (the reference's per-worker MemoCache).  ``__call__``
-    processes one hash bucket; identical output to the task path."""
-
-    def __init__(self, max_distance: int = 2, algorithm: str = STANDARD,
-                 max_block_strings: int = 512):
-        from ..kernel.distance import MemoCache
-        from ..kernel.universal import universal_automaton
-
-        self.max_distance = max_distance
-        self.algorithm = algorithm
-        self.cap = max_block_strings
-        # per-actor state, built once (cheap here; stands in for model
-        # weights / big broadcast tables in heavier stages)
-        self.universal = universal_automaton(min(max_distance, 3))
-        self.memo = MemoCache(algorithm)
-
-    def __call__(self, bucket: pd.DataFrame) -> pd.DataFrame:
-        out = score_bucket_vectorized(
-            bucket.drop(columns="__bucket", errors="ignore"),
-            max_distance=self.max_distance,
-            algorithm=self.algorithm,
-            max_block_strings=self.cap,
-        )
-        return out if len(out) else _empty_edges()
-
-
 # ======================================================================
 # Vectorized bucket scorer — the production path.
 #

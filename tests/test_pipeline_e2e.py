@@ -4,6 +4,7 @@ pairwise F1 >= 0.99 (BASELINE.md targets); determinism; checkpoint resume."""
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liblevenshtein_rust_ray.sources.pages import generate_pages, write_corpus
 from liblevenshtein_rust_ray.pipelines.entity_resolution import (
@@ -67,6 +68,11 @@ def test_checkpoint_resume(tmp_path, corpus):
     assert os.path.exists(os.path.join(run_dir, "clusters.manifest.json"))
     # the clusters manifest records which CC path ran (per-stage metrics)
     assert ck.manifest("clusters")["counters"]["path"] == "driver"
+    # ... and which er_pairs plan ran, with its row counts
+    pairs_counters = ck.manifest("pairs")["counters"]
+    assert pairs_counters["plan"] == "local"
+    assert pairs_counters["pages"] == pages.num_rows
+    assert pairs_counters["edges"] == ck.manifest("pairs")["rows"] > 0
 
     # resume: a fresh manager with the same fingerprint must reuse the
     # checkpoints (byte-identical outputs, no recompute)
@@ -177,18 +183,230 @@ def test_er_pairs_engine_parity(corpus):
     assert key(default) == key(once)
 
 
-def test_er_pairs_arrow_vs_pandas_exchange_parity(corpus):
-    """The all-Arrow exchange (default) and its pandas twin must stay
-    EXACTLY identical — same rows, same canonical order keys, same dtypes
-    after to_pandas (they share the integer scoring core; this pins the
-    two frontends and the two exchange implementations together)."""
+def _dp_scan_edges(pages, max_distance=2):
+    """The default engine's edge semantics, by brute force: in each block,
+    every url stars (distance 0) to the smallest url sharing its title, and
+    the smallest urls of two titles within ``max_distance`` (pure-Python
+    DP) are joined; the smallest distance per url pair wins."""
+    from liblevenshtein_rust_ray.kernel import standard_distance
+    from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch
+    from liblevenshtein_rust_ray.stages.extract import extract_batch
+
+    keys = blocking_keys_batch(extract_batch(pages)).to_pandas()
+    best = {}
+
+    def add(a, b, d):
+        if a != b:
+            k = (min(a, b), max(a, b))
+            best[k] = min(best.get(k, d), d)
+
+    for _key, g in keys.groupby("block_key"):
+        rep = g.groupby("key_string")["url"].min()
+        assert len(rep) <= 512  # below the salting cap: the scan is exact
+        for s, u in zip(g["key_string"], g["url"]):
+            add(rep[s], u, 0)
+        titles = sorted(rep.index)
+        for i, s in enumerate(titles):
+            for t in titles[i + 1:]:
+                d = standard_distance(s, t)
+                if d <= max_distance:
+                    add(rep[s], rep[t], d)
+    return sorted((a, b, d) for (a, b), d in best.items())
+
+
+def _sorted_edges(ds):
+    return (ds.to_pandas().sort_values(["url_a", "url_b"])
+            .reset_index(drop=True))
+
+
+def _speedups(plan):
+    """A ``LOCAL_SPEEDUPS`` table that makes er_pairs pick ``plan`` for any
+    input the local plan can take."""
+    return ((10**12, float("inf")),) if plan == "local" else ()
+
+
+def _force_plan(monkeypatch, plan):
+    from liblevenshtein_rust_ray.pipelines import entity_resolution
+
+    monkeypatch.setattr(entity_resolution, "LOCAL_SPEEDUPS", _speedups(plan))
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("plan", ["local", "distributed"])
+def test_er_pairs_default_engine_matches_dp_scan(corpus, plan, monkeypatch):
+    """The default engine's edges equal a pure-Python DP scan of every
+    block, under both plans.  Ten pages are repeated under new urls so
+    identical titles (distance-0 stars) are covered too."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    tab, _ = corpus
+    dup = tab.slice(0, 10)
+    dup = dup.set_column(0, "url", pc.binary_join_element_wise(dup["url"], "/dup", ""))
+    tab = pa.concat_tables([tab, dup])
+    want = _dp_scan_edges(tab)
+    assert {d for *_, d in want} == {0, 1, 2}
+    _force_plan(monkeypatch, plan)
+    stats = {}
+    got = _sorted_edges(er_pairs(tab, stats=stats))
+    assert stats["plan"] == plan
+    assert list(got.itertuples(index=False, name=None)) == want
+
+
+def _write_pages_dir(tab, path, files=3):
+    import pyarrow.parquet as pq
+
+    os.makedirs(path)
+    step = -(-tab.num_rows // files)
+    for i in range(files):
+        pq.write_table(tab.slice(i * step, step), f"{path}/part-{i}.parquet")
+    return path
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("kind", ["parquet", "table", "dataset"])
+def test_er_pairs_local_plan_matches_distributed(tmp_path, corpus, kind, monkeypatch):
+    """Forced local and forced distributed plans give identical edges for
+    every input kind; the unpatched guard picks the local plan for all
+    three on the test session's 4 CPUs."""
+    import pandas as pd
+    import ray.data as rd
+
+    tab, _ = corpus
+    source = {"parquet": lambda: _write_pages_dir(tab, str(tmp_path / "pages")),
+              "table": lambda: tab,
+              "dataset": lambda: rd.from_arrow(tab)}[kind]()
+    local_stats, dist_stats, auto_stats = {}, {}, {}
+    er_pairs(source, stats=auto_stats)
+    _force_plan(monkeypatch, "local")
+    local = _sorted_edges(er_pairs(source, stats=local_stats))
+    _force_plan(monkeypatch, "distributed")
+    dist = _sorted_edges(er_pairs(source, stats=dist_stats))
+    pd.testing.assert_frame_equal(local, dist)
+    assert local_stats == auto_stats
+    assert local_stats["plan"] == "local"
+    assert local_stats["pages"] == dist_stats["pages"] == tab.num_rows
+    assert local_stats["edges"] == len(local)
+    assert dist_stats["plan"] == "distributed"
+    assert dist_stats["n_buckets"] == 256
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_er_pairs_local_plan_multi_chunk(corpus, monkeypatch):
+    """A tiny pair budget splits the key table into many chunks; the edges
+    do not change."""
+    import pandas as pd
+
+    from liblevenshtein_rust_ray.pipelines import entity_resolution
+
+    tab, _ = corpus
+    monkeypatch.setattr(entity_resolution, "LOCAL_PAIR_BUDGET", 20)
+    _force_plan(monkeypatch, "local")
+    stats = {}
+    local = _sorted_edges(er_pairs(tab, stats=stats))
+    assert stats["chunks"] > 4
+    _force_plan(monkeypatch, "distributed")
+    pd.testing.assert_frame_equal(local, _sorted_edges(er_pairs(tab)))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_er_pairs_local_plan_checkpoint_resume(tmp_path, corpus, monkeypatch):
+    """A checkpointed local run records its plan in the manifest, and a
+    resumed run re-reads the checkpoint: same edges as the distributed
+    plan, nothing recomputed."""
     import pandas as pd
 
     tab, _ = corpus
-    srt = lambda df: df.sort_values(["url_a", "url_b"]).reset_index(drop=True)
-    arrow = srt(er_pairs(tab, engine="vectorized").to_pandas())
-    pandas_ = srt(er_pairs(tab, engine="vectorized_pandas").to_pandas())
-    pd.testing.assert_frame_equal(arrow, pandas_)
+    run_dir = str(tmp_path / "run")
+    _force_plan(monkeypatch, "local")
+    stats = {}
+    first = _sorted_edges(er_pairs(tab, stats=stats,
+                                   checkpoints=CheckpointManager(run_dir), fingerprint="p"))
+    assert stats["plan"] == "local"
+    ck = CheckpointManager(run_dir)
+    assert ck.manifest("pairs")["counters"] == stats
+    assert ck.manifest("pairs")["rows"] == stats["edges"] == len(first)
+    resumed_stats = {}
+    resumed = _sorted_edges(er_pairs(tab, stats=resumed_stats,
+                                     checkpoints=ck, fingerprint="p"))
+    assert resumed_stats == {}
+    _force_plan(monkeypatch, "distributed")
+    dist = _sorted_edges(er_pairs(tab))
+    pd.testing.assert_frame_equal(first, dist)
+    pd.testing.assert_frame_equal(resumed, dist)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_er_pairs_auto_guard(tmp_path, corpus, monkeypatch):
+    """The local plan runs only where the guard allows it: today's
+    distributed plan runs above the page guard, on many-CPU clusters, for
+    inputs without a free row count (lazy derived Datasets, directories
+    Ray lists by its own rules) and for the other engines."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from liblevenshtein_rust_ray.pipelines import entity_resolution
+
+    tab, _ = corpus
+    n = tab.num_rows
+    pages_dir = _write_pages_dir(tab, str(tmp_path / "pages"))
+    # directories holding files Ray reads (no suffix) or skips ("_", ".")
+    # next to *.parquet: both plans must see the same files, so no count
+    odd_dirs = []
+    for extra in ("pages.bin", "_tmp/part-9.parquet", ".hidden.parquet"):
+        d = _write_pages_dir(tab, str(tmp_path / f"odd{len(odd_dirs)}"))
+        os.makedirs(os.path.dirname(f"{d}/{extra}"), exist_ok=True)
+        pq.write_table(tab.slice(0, 5), f"{d}/{extra}")
+        odd_dirs.append(d)
+    real = entity_resolution.LOCAL_SPEEDUPS
+    cases = [
+        (dict(source=pages_dir), real, 4, "local"),
+        (dict(source=pages_dir), ((n, 1.0),), 1, "local"),
+        (dict(source=pages_dir), ((n - 1, 1.0),), 1, "distributed"),
+        (dict(source=pages_dir), real, 32, "distributed"),
+        (dict(source=tab), real, 20, "distributed"),
+        (dict(source=rd.read_parquet(pages_dir)), real, 4, "local"),
+        (dict(source=rd.read_parquet(pages_dir).map_batches(
+            lambda t: t, batch_format="pyarrow")), real, 1, "distributed"),
+        (dict(source=tab, emit_all_pairs=True), real, 1, "distributed"),
+        (dict(source=tab, engine="vectorized_once"), real, 1, "distributed"),
+    ] + [(dict(source=d), real, 1, "distributed") for d in odd_dirs]
+    for kwargs, speedups, cpus, plan in cases:
+        monkeypatch.setattr(entity_resolution, "LOCAL_SPEEDUPS", speedups)
+        monkeypatch.setattr(entity_resolution, "_cluster_cpus", lambda: cpus)
+        stats = {}
+        er_pairs(stats=stats, **kwargs).materialize()
+        assert stats["plan"] == plan, (kwargs, speedups, cpus, stats)
+    assert entity_resolution._parquet_files(odd_dirs[0]) is None
+    with pytest.raises(ValueError):
+        er_pairs(tab, engine="vectorized_pandas")
+
+
+def test_local_max_pages_by_cpus():
+    """On C CPUs the local plan takes only sizes whose measured one-CPU
+    speedup is at least C."""
+    from liblevenshtein_rust_ray.pipelines.entity_resolution import _local_max_pages
+
+    assert [_local_max_pages(c) for c in (0, 1, 2, 3, 4, 8, 10, 12, 16, 20, 32)] == [
+        200_000, 200_000, 200_000, 104_526, 104_526, 41_987, 10_360, 5_116,
+        2_006, 0, 0]
+
+
+def test_page_count_unknown_and_io_errors(tmp_path):
+    """Row counts come from metadata or are unknown (None); a corrupt
+    parquet footer is an error, not an unknown count."""
+    import pyarrow as pa
+
+    from liblevenshtein_rust_ray.pipelines.entity_resolution import (
+        _auto_buckets, _page_count)
+
+    assert _page_count(str(tmp_path)) is None  # no parquet files
+    assert _auto_buckets(None) == 256
+    assert _auto_buckets(2_000_000) == 1953
+    bad = tmp_path / "bad.parquet"
+    bad.write_bytes(b"not parquet")
+    with pytest.raises(pa.ArrowInvalid):
+        _page_count(str(bad))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -238,3 +456,59 @@ def test_er_pairs_decremental_equals_full(corpus):
     cd = connected_components(dec).to_pandas().sort_values("url").reset_index(drop=True)
     cf = connected_components(full).to_pandas().sort_values("url").reset_index(drop=True)
     assert cd.equals(cf)
+
+
+# adversarial pages: NUL and non-BMP urls, duplicate urls, empty and
+# identical titles, plus one block of 520 distinct titles (same host, shared
+# token, one length bucket) so the scorer's salting runs inside a chunk
+_URL_PARTS = ["https://h\x00st.com/", "https://\U0001F600.org/", "https://plain.net/"]
+_TITLES = ["", "same title", "same titel", "alpha beta", "alpha betx", "\U0001F600 emoji x"]
+
+
+@st.composite
+def adversarial_pages(draw):
+    import pyarrow as pa
+
+    from liblevenshtein_rust_ray.sources.pages import PAGES_SCHEMA
+
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(_URL_PARTS),
+        st.sampled_from(["a", "a\x00b", "\U00010348", "p"]),
+        st.integers(0, 3),
+        st.sampled_from(_TITLES) | st.text("ab \U0001F600", max_size=10),
+    ), min_size=1, max_size=40))
+    urls = [f"{h}{p}{i}" for h, p, i, _ in rows]
+    titles = [t for *_, t in rows]
+    big = draw(st.integers(513, 530))
+    urls += [f"https://big.example/{i}" for i in range(big)]
+    titles += [f"zzcommon w{i:03d}" for i in range(big)]
+    n = len(urls)
+    return pa.table({
+        "url": urls,
+        "warc_ts": pa.array(list(range(n)), type=pa.timestamp("us")),
+        "html": pa.array([b""] * n, type=pa.binary()),
+        "text": [f"{t}\nbody" for t in titles],
+        "lang": ["en"] * n,
+    }, schema=PAGES_SCHEMA)
+
+
+@pytest.mark.usefixtures("ray_session")
+@settings(max_examples=6, deadline=None)
+@given(pages=adversarial_pages())
+def test_er_pairs_plans_agree_on_adversarial_pages(pages):
+    """Local (many chunks) and distributed plans give identical edges on
+    adversarial inputs, including a salted block."""
+    from unittest import mock
+
+    import pandas as pd
+
+    from liblevenshtein_rust_ray.pipelines import entity_resolution
+
+    with mock.patch.object(entity_resolution, "LOCAL_PAIR_BUDGET", 5_000), \
+            mock.patch.object(entity_resolution, "LOCAL_SPEEDUPS", _speedups("local")):
+        stats = {}
+        local = _sorted_edges(er_pairs(pages, stats=stats))
+    assert stats["chunks"] > 1
+    with mock.patch.object(entity_resolution, "LOCAL_SPEEDUPS", _speedups("distributed")):
+        dist = _sorted_edges(er_pairs(pages))
+    pd.testing.assert_frame_equal(local, dist)

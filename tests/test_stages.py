@@ -728,3 +728,31 @@ def test_distributed_cc_idmap_branch_parity():
                          broadcast_idmap_bytes=ids_bytes_ceiling)
          .to_pandas().sort_values("url").reset_index(drop=True))
     assert a.equals(b)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("edges", [
+    [("x", "y\x00z"), ("x\x00y", "z")],
+    # same joined key "a\0c\0b"; the side-1 id order is the reverse of the
+    # side-0 order, so a shared edge key pairs the wrong endpoints
+    [("a", "c\x00b"), ("a\x00c", "b")],
+])
+def test_distributed_cc_nul_urls_do_not_share_edge_keys(edges):
+    """Two edges whose ``url_a + NUL + url_b`` strings coincide are still
+    two edges: every plan keeps their true components apart."""
+    import ray.data as rd
+
+    from liblevenshtein_rust_ray.stages.cluster import (
+        _distributed_cc, connected_components)
+
+    pairs = rd.from_pandas(pd.DataFrame(
+        {"url_a": [a for a, _ in edges], "url_b": [b for _, b in edges],
+         "distance": [1] * len(edges)}))
+    want = {u: min(a, b) for a, b in edges for u in (a, b)}
+    plans = [connected_components(pairs, mode="driver"),
+             connected_components(pairs, mode="distributed", n_buckets=4),
+             _distributed_cc(pairs, max_rounds=30, n_buckets=4,
+                             broadcast_idmap_bytes=0)]
+    for out in plans:
+        df = out.to_pandas()
+        assert dict(zip(df["url"], df["cluster_id"])) == want
