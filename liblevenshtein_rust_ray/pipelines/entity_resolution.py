@@ -1,12 +1,13 @@
 """Flagship pipeline: blocking + pairwise scoring + transitive clustering
 over Common-Crawl-style pages (the north star).
 
-Dataflow of the default ``engine="vectorized"`` (Arrow batches)::
+Dataflow (Arrow batches)::
 
     pages
       -> extract_batch                  canonical text + title, html dropped
       -> blocking_keys_batch            explode to (block_key, url, key_string)
       -> score_bucket_vectorized_arrow  per hash bucket of block_key
+         (score_bucket_all_pairs_arrow with emit_all_pairs=True)
       -> min-dedup on (url_a, url_b)    a pair arrives via several keys
       -> connected_components           -> (url, cluster_id)
 
@@ -29,14 +30,10 @@ from ..kernel import STANDARD
 from ..stages.blocking import blocking_keys_batch
 from ..stages.extract import extract_batch, EXTRACTOR_VERSION
 from ..stages.cluster import connected_components
-from ..stages.grouped import (
-    _with_schema_sentinel, bucketed_apply, bucketed_apply_arrow,
-    bucketed_group_apply, hash_buckets,
-)
+from ..stages.grouped import bucketed_apply_arrow, hash_buckets
 from ..stages.scorer import (
-    BlockScorer, CandidateScorerActor, _empty_candidates, _empty_edges,
-    _empty_edges_arrow, candidate_pairs_bucket, score_bucket_vectorized,
-    score_bucket_vectorized_arrow, score_candidates_bucket,
+    EDGE_COLUMNS, _edges_schema, _empty_edges_arrow,
+    score_bucket_all_pairs_arrow, score_bucket_vectorized_arrow,
 )
 from ..state.checkpoint import CheckpointManager
 
@@ -187,61 +184,74 @@ def _local_pairs(source, stats: dict, **score_kwargs):
     return edges
 
 
+def _key_rows(source):
+    """Pages -> (block_key, url, key_string) rows, as Ray Data map stages."""
+    ds = read_pages(source)
+    ds = ds.map_batches(extract_batch, batch_format="pyarrow")
+    return ds.map_batches(blocking_keys_batch, batch_format="pyarrow")
+
+
+def _scorer(emit_all_pairs: bool):
+    return score_bucket_all_pairs_arrow if emit_all_pairs else score_bucket_vectorized_arrow
+
+
+def _pairs_fingerprint(fingerprint, max_distance, algorithm, emit_all_pairs,
+                       max_block_strings) -> str:
+    """Every input that changes the edge set, so a checkpoint is never
+    re-served to a call that would compute different edges."""
+    return (f"{fingerprint}|x{EXTRACTOR_VERSION}|d{max_distance}|{algorithm}"
+            f"|all{int(emit_all_pairs)}|cap{max_block_strings}")
+
+
 def er_pairs(
     source,
     max_distance: int = 2,
     algorithm: str = STANDARD,
-    scorer_concurrency=None,
     emit_all_pairs: bool = False,
     checkpoints: CheckpointManager | None = None,
     fingerprint: str = "",
-    engine: str = "vectorized",
     max_block_strings: int = 512,
     n_buckets: int | None = None,
     stats: dict | None = None,
 ):
     """Pages -> canonical deduped candidate edges (url_a, url_b, distance).
 
-    ``engine="vectorized"`` (default) scores pairs per block bucket with
-    the numpy banded-DP kernel (the reference's SIMD distance-matrix
-    path), then dedups url pairs.  The same title pair co-occurs under
-    several blocking keys, so this path scores each distinct pair ~3x —
-    MEASURED cheaper than avoiding it: the banded DP is ~3 us/pair while
-    the alternative ships every candidate's string pair through a
-    12x-larger exchange (31 vs 22 CPU-seconds and +6 s wall at sf0.1/32
-    cores; see docs/SCALE.md "score-once A/B").
-    ``engine="vectorized_once"`` keeps the score-once plan: phase A emits
-    unscored candidates keyed by canonical string pair, the pair exchange
-    co-locates duplicates, phase B scores each distinct pair exactly once.
-    Use it when the per-pair scorer is genuinely expensive (weighted
-    cost models, restricted-substitution automata) — the break-even is
-    scorer cost vs ~60 bytes/candidate of extra exchange payload.
-    ``engine="automaton"`` runs the per-block trie + automaton traversal —
-    output-identical (pinned by tests) and the reference-parity /
-    restricted-substitution engine.
+    Each hash bucket of ``block_key`` is scored by one bucket scorer, then
+    url pairs are min-deduped (the same title pair co-occurs under several
+    blocking keys, so it is scored ~3x; the banded DP is ~3 us/pair, and
+    scoring each pair once instead cost more exchange than it saved —
+    docs/SCALE.md section 5).  ``emit_all_pairs`` picks the scorer:
 
-    The default engine (no ``emit_all_pairs``, no ``scorer_concurrency``)
-    runs as a local plan in the driver, with no exchange, when
-    :func:`_page_count` knows the page count and it is at most
-    :func:`_local_max_pages` for the Ray cluster's CPU count; everything
-    else runs the distributed plan.  Both give identical edges (pinned by
-    tests).  Crossover, er_pairs wall on a 1-CPU host, distributed ->
-    local: 2.0k pages 2.32 -> 0.12 s, 10.4k 4.96 -> 0.45 s, 42k 17.3 ->
-    1.9 s, 105k 28.4 -> 6.9 s, 209k 34.3 -> 13.5 s.  Many-core crossovers
-    are unmeasured, so the guard grants the distributed plan a perfect
-    speedup in CPUs: 200k pages on 1-2 CPUs, 105k on 4, none from 20.
+    * ``False`` (default) — :func:`score_bucket_vectorized_arrow`, the
+      numpy banded-DP kernel (the reference's SIMD distance-matrix path):
+      distance-0 stars for identical titles, one representative edge per
+      matching title pair.
+    * ``True`` — :func:`score_bucket_all_pairs_arrow`, ``BlockScorer``'s
+      per-block trie + automaton traversal emitting every url pair: the
+      quadratic SQL-oracle semantics.
+
+    The default scorer runs as a local plan in the driver, with no
+    exchange, when :func:`_page_count` knows the page count and it is at
+    most :func:`_local_max_pages` for the Ray cluster's CPU count;
+    everything else runs the distributed plan (an exchange on
+    ``block_key``, another on ``(url_a, url_b)`` for the dedup).  Both
+    give identical edges (pinned by tests).  Crossover, er_pairs wall on a
+    1-CPU host, distributed -> local: 2.0k pages 2.32 -> 0.12 s, 10.4k
+    4.96 -> 0.45 s, 42k 17.3 -> 1.9 s, 105k 28.4 -> 6.9 s, 209k 34.3 ->
+    13.5 s.  Many-core crossovers are unmeasured, so the guard grants the
+    distributed plan a perfect speedup in CPUs: 200k pages on 1-2 CPUs,
+    105k on 4, none from 20.
 
     ``stats`` receives ``plan``, ``pages`` (None if unknown) and
     ``chunks`` or ``n_buckets``; the local plan adds ``key_rows`` and
     ``edges``.  It is the pairs stage's checkpoint ``counters``."""
-    if engine not in ("vectorized", "vectorized_once", "automaton"):
-        raise ValueError(f"unknown engine {engine!r}")
-    local_ok = engine == "vectorized" and not emit_all_pairs and not scorer_concurrency
     ck = checkpoints or CheckpointManager("", enabled=False)
-    fp = f"{fingerprint}|x{EXTRACTOR_VERSION}|d{max_distance}|{algorithm}|{engine}"
+    fp = _pairs_fingerprint(fingerprint, max_distance, algorithm,
+                            emit_all_pairs, max_block_strings)
     stats = {} if stats is None else stats
     score_kw = dict(max_distance=max_distance, algorithm=algorithm,
                     max_block_strings=max_block_strings)
+    scorer = _scorer(emit_all_pairs)
 
     def compute():
         import ray.data as rd
@@ -250,92 +260,27 @@ def er_pairs(
 
         configure_data_context()
         pages = _page_count(source)
-        if local_ok and pages is not None and pages <= _local_max_pages(_cluster_cpus()):
+        if (not emit_all_pairs and pages is not None
+                and pages <= _local_max_pages(_cluster_cpus())):
             return rd.from_arrow(_local_pairs(source, stats, **score_kw))
         nb = n_buckets if n_buckets is not None else _auto_buckets(pages)
         stats.update(plan="distributed", pages=pages, n_buckets=nb)
-        ds = read_pages(source)
-        ds = ds.map_batches(extract_batch, batch_format="pyarrow")
-        ds = ds.map_batches(blocking_keys_batch, batch_format="pyarrow")
-        if local_ok:
-            # single-phase, all-Arrow: score within each block bucket, dedup
-            # url pairs in a second (edge-sized) exchange.  Batches stay
-            # pa.Table through both exchanges — row-level strings never
-            # become Python objects (only each bucket's DISTINCT strings
-            # cross into Python, for the DP kernel).
-            edges = bucketed_apply_arrow(
-                ds, "block_key",
-                lambda tbl: score_bucket_vectorized_arrow(tbl, **score_kw),
-                n_buckets=nb, empty_result=_empty_edges_arrow(),
-            )
-            # bucket by the full pair: raw scorer pairs rarely share an
-            # endpoint (measured at sf5.0: single-endpoint co-location
-            # contracts <1%), so single-column keys buy downstream
-            # clustering nothing and the two-column hash spreads best.
-            return bucketed_apply_arrow(
-                edges, ["url_a", "url_b"], _min_dedup,
-                n_buckets=nb, empty_result=_empty_edges_arrow(),
-            )
-        if engine != "automaton" and not emit_all_pairs:
-            # phase A: per block-bucket star edges + unscored candidates
-            cand = bucketed_apply(
-                ds, "block_key", lambda df: candidate_pairs_bucket(df, **score_kw),
-                n_buckets=nb, empty_result=_empty_candidates(),
-            )
-            # phase B: exchange on the string pair, score each distinct
-            # pair once, dedup url pairs (global — one key_string per url)
-            if scorer_concurrency:
-                # stateful actor pool: per-actor universal-automaton tables
-                # built once in __init__ (north-star shape)
-                def add_bucket(t):
-                    return t.append_column(
-                        "__bucket", pa.array(hash_buckets(t, ["s_a", "s_b"], 64)))
-
-                return _with_schema_sentinel(
-                    cand.map_batches(add_bucket, batch_format="pyarrow")
-                    .groupby("__bucket")
-                    .map_groups(
-                        CandidateScorerActor,
-                        fn_constructor_kwargs={
-                            "max_distance": max_distance,
-                            "algorithm": algorithm,
-                        },
-                        concurrency=scorer_concurrency,
-                        batch_format="pandas",
-                    ),
-                    _empty_edges(),
-                )
-            return bucketed_apply(
-                cand,
-                ["s_a", "s_b"],
-                lambda df: score_candidates_bucket(
-                    df, max_distance=max_distance, algorithm=algorithm
-                ),
-                n_buckets=nb,
-                empty_result=_empty_edges(),
-            )
-        scorer = BlockScorer(
-            max_distance=max_distance,
-            algorithm=algorithm,
-            emit_all_pairs=emit_all_pairs,
-            max_block_strings=max_block_strings,
+        # all-Arrow: score within each block bucket, dedup url pairs in a
+        # second (edge-sized) exchange.  Batches stay pa.Table through both
+        # exchanges — row-level strings never become Python objects (only
+        # each bucket's DISTINCT strings cross into Python, for the DP
+        # kernel).
+        edges = bucketed_apply_arrow(
+            _key_rows(source), "block_key", lambda tbl: scorer(tbl, **score_kw),
+            n_buckets=nb, empty_result=_empty_edges_arrow(),
         )
-        # bucketed group-apply: one map_groups call per coarse bucket,
-        # C-path pandas groupby inside, singletons pruned before Python
-        pairs = bucketed_group_apply(
-            ds,
-            "block_key",
-            scorer,
-            n_buckets=nb,
-            min_group_size=2,
-            empty_result=_empty_edges(),
-        )
-        # the same canonical pair arrives via several bands: exact dedup by
-        # (url_a, url_b), keep the smallest distance (vectorized per bucket)
-        return bucketed_apply(
-            pairs,
-            ["url_a", "url_b"],
-            lambda df: df.groupby(["url_a", "url_b"], as_index=False)["distance"].min(),
+        # bucket by the full pair: raw scorer pairs rarely share an
+        # endpoint (measured at sf5.0: single-endpoint co-location
+        # contracts <1%), so single-column keys buy downstream
+        # clustering nothing and the two-column hash spreads best.
+        return bucketed_apply_arrow(
+            edges, ["url_a", "url_b"], _min_dedup,
+            n_buckets=nb, empty_result=_empty_edges_arrow(),
         )
 
     return ck.run_stage("pairs", fp, compute, counters=stats)
@@ -348,13 +293,16 @@ def er_clusters(
     checkpoints: CheckpointManager | None = None,
     fingerprint: str = "",
     cc_mode: str = "auto",
+    emit_all_pairs: bool = False,
+    max_block_strings: int = 512,
     **kwargs,
 ):
     """Pages -> (url, cluster_id): the transitive entity clusters.
 
     ``cc_mode`` selects the clustering path ("auto" / "driver" /
     "distributed" — see :func:`~..stages.cluster.connected_components`);
-    the default edge-count auto-switch is right for almost every run."""
+    the default edge-count auto-switch is right for almost every run.
+    The other options are :func:`er_pairs`'."""
     ck = checkpoints or CheckpointManager("", enabled=False)
     pairs = er_pairs(
         source,
@@ -362,9 +310,12 @@ def er_clusters(
         algorithm=algorithm,
         checkpoints=checkpoints,
         fingerprint=fingerprint,
+        emit_all_pairs=emit_all_pairs,
+        max_block_strings=max_block_strings,
         **kwargs,
     )
-    fp = f"{fingerprint}|x{EXTRACTOR_VERSION}|d{max_distance}|{algorithm}|cc"
+    fp = _pairs_fingerprint(fingerprint, max_distance, algorithm,
+                            emit_all_pairs, max_block_strings) + "|cc"
     # cc_stats is filled during compute() and lands in the stage manifest's
     # counters (path chosen, contraction pass sizes, label rounds) — the
     # per-stage metrics a resumed or audited run reads back.
@@ -390,26 +341,42 @@ def er_pipeline(source, out_dir: str | None = None, output_partitions: int | Non
 
 
 # ----------------------------------------------------------------------
-def _score_blocks_all_pairs(sub, max_distance, algorithm, max_block_strings):
-    """Quadratic (SQL-oracle-mode) scoring of a bucket's blocks through
-    BlockScorer — the same engine er_pairs' ``emit_all_pairs`` path uses.
-    ``score_bucket_vectorized`` is NOT equivalent here: it always collapses
-    identical strings to distance-0 stars and scores one representative url
-    per distinct string."""
-    scorer = BlockScorer(
-        max_distance=max_distance, algorithm=algorithm,
-        emit_all_pairs=True, max_block_strings=max_block_strings,
-    )
-    outs = []
-    for _key, g in sub.groupby("block_key", sort=False):
-        if len(g) < 2:
-            continue
-        out = scorer(g)
-        if out is not None and len(out):
-            outs.append(out)
-    if not outs:
-        return _empty_edges()
-    return pd.concat(outs, ignore_index=True)
+def _rescore_blocks(keys, base_pairs, removed, emit_all_pairs, score_kw):
+    """The shared half of :func:`er_pairs_incremental` and
+    :func:`er_pairs_decremental`.  ``keys`` are key rows with a boolean
+    ``__flag``: a new page's rows, or, when ``removed`` (a ``ray.put``
+    string array of the removed urls) is given, a removed page's.  Only
+    blocks holding a flagged row are rescored — over their unflagged rows
+    when removing — by ``er_pairs``' scorer for ``emit_all_pairs``;
+    ``base_pairs`` edges touching a removed url are dropped, and base and
+    rescored edges merge by min distance per url pair."""
+    import pyarrow.compute as pc
+    import ray
+
+    scorer = _scorer(emit_all_pairs)
+
+    def score_hot(t: pa.Table) -> pa.Table:
+        flag = t["__flag"]
+        keep = pc.is_in(t["block_key"],
+                        value_set=pc.unique(pc.filter(t["block_key"], flag)))
+        if removed is not None:
+            keep = pc.and_(keep, pc.invert(flag))
+        return scorer(t.filter(keep).drop_columns(["__flag"]), **score_kw)
+
+    def base_edges(t: pa.Table) -> pa.Table:
+        t = t.select(EDGE_COLUMNS).cast(_edges_schema())
+        if removed is None:
+            return t
+        rm = ray.get(removed)
+        return t.filter(pc.invert(pc.or_(pc.is_in(t["url_a"], value_set=rm),
+                                         pc.is_in(t["url_b"], value_set=rm))))
+
+    delta = bucketed_apply_arrow(keys, "block_key", score_hot, n_buckets=64,
+                                 empty_result=_empty_edges_arrow())
+    if base_pairs is not None:
+        delta = base_pairs.map_batches(base_edges, batch_format="pyarrow").union(delta)
+    return bucketed_apply_arrow(delta, ["url_a", "url_b"], _min_dedup, n_buckets=64,
+                                empty_result=_empty_edges_arrow())
 
 
 def er_pairs_incremental(
@@ -446,47 +413,15 @@ def er_pairs_incremental(
 
     configure_data_context()
 
-    def keyed(source, flag):
-        ds = read_pages(source)
-        ds = ds.map_batches(extract_batch, batch_format="pyarrow")
-        ds = ds.map_batches(blocking_keys_batch, batch_format="pyarrow")
+    def flagged(source, flag: bool):
+        return _key_rows(source).map_batches(
+            lambda t: t.append_column("__flag", pa.array(np.full(t.num_rows, flag))),
+            batch_format="pyarrow")
 
-        def tag(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["__new"] = flag
-            return df
-
-        return ds.map_batches(tag, batch_format="pandas")
-
-    both = keyed(old_source, False).union(keyed(new_source, True))
-
-    def score_affected(df: pd.DataFrame) -> pd.DataFrame:
-        hot = df.loc[df["__new"], "block_key"].unique()
-        sub = df[df["block_key"].isin(set(hot))].drop(columns="__new")
-        if not len(sub):
-            return _empty_edges()
-        if emit_all_pairs:
-            # quadratic SQL-oracle mode: score_bucket_vectorized always
-            # star-collapses identical strings, so hot blocks go through
-            # BlockScorer (the same engine er_pairs' all-pairs path uses)
-            return _score_blocks_all_pairs(
-                sub, max_distance, algorithm, max_block_strings
-            )
-        return score_bucket_vectorized(
-            sub, max_distance=max_distance, algorithm=algorithm,
-            max_block_strings=max_block_strings,
-        )
-
-    delta = bucketed_apply(
-        both, "block_key", score_affected, n_buckets=64, empty_result=_empty_edges()
-    )
-    merged = delta if base_pairs is None else base_pairs.union(delta)
-    return bucketed_apply(
-        merged,
-        ["url_a", "url_b"],
-        lambda df: df.groupby(["url_a", "url_b"], as_index=False)["distance"].min(),
-        empty_result=_empty_edges(),
-    )
+    keys = flagged(old_source, False).union(flagged(new_source, True))
+    return _rescore_blocks(keys, base_pairs, None, emit_all_pairs, dict(
+        max_distance=max_distance, algorithm=algorithm,
+        max_block_strings=max_block_strings))
 
 
 # ----------------------------------------------------------------------
@@ -520,65 +455,21 @@ def er_pairs_decremental(
     surviving base pairs ARE the from-scratch pairs and the rescored hot
     blocks only re-derive a subset of them — the SQL-oracle-checkable
     restatement the driver verifies."""
+    import pyarrow.compute as pc
     import ray
 
     from .context import configure_data_context
 
     configure_data_context()
-    rm_ref = ray.put(frozenset(removed_urls))
+    rm_ref = ray.put(pa.array(sorted(set(removed_urls)), type=pa.string()))
 
-    ds = read_pages(old_source)
-    ds = ds.map_batches(extract_batch, batch_format="pyarrow")
-    ds = ds.map_batches(blocking_keys_batch, batch_format="pyarrow")
+    def flag_removed(t: pa.Table) -> pa.Table:
+        return t.append_column("__flag", pc.is_in(t["url"], value_set=ray.get(rm_ref)))
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        rm = ray.get(rm_ref)
-        df = df.copy()
-        df["__rm"] = df["url"].isin(rm)
-        return df
-
-    def score_affected(df: pd.DataFrame) -> pd.DataFrame:
-        hot = df.loc[df["__rm"], "block_key"].unique()
-        sub = df[df["block_key"].isin(set(hot)) & ~df["__rm"]].drop(columns="__rm")
-        if not len(sub):
-            return _empty_edges()
-        if emit_all_pairs:
-            return _score_blocks_all_pairs(
-                sub, max_distance, algorithm, max_block_strings
-            )
-        return score_bucket_vectorized(
-            sub, max_distance=max_distance, algorithm=algorithm,
-            max_block_strings=max_block_strings,
-        )
-
-    delta = bucketed_apply(
-        ds.map_batches(tag, batch_format="pandas"),
-        "block_key", score_affected, n_buckets=64, empty_result=_empty_edges(),
-    )
-
-    if base_pairs is None:
-        merged = delta
-    else:
-        def drop_removed(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            rm = pa.array(sorted(ray.get(rm_ref)), type=pa.string())
-            keep = pc.and_(
-                pc.invert(pc.is_in(t.column("url_a"), value_set=rm)),
-                pc.invert(pc.is_in(t.column("url_b"), value_set=rm)),
-            )
-            return t.filter(keep)
-
-        merged = base_pairs.map_batches(
-            drop_removed, batch_format="pyarrow"
-        ).union(delta)
-
-    return bucketed_apply(
-        merged,
-        ["url_a", "url_b"],
-        lambda df: df.groupby(["url_a", "url_b"], as_index=False)["distance"].min(),
-        empty_result=_empty_edges(),
-    )
+    keys = _key_rows(old_source).map_batches(flag_removed, batch_format="pyarrow")
+    return _rescore_blocks(keys, base_pairs, rm_ref, emit_all_pairs, dict(
+        max_distance=max_distance, algorithm=algorithm,
+        max_block_strings=max_block_strings))
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ store) unless the kernel genuinely needs pandas.
 
 from .extract import extract_batch, extract_text_from_html
 from .blocking import blocking_keys_batch, BLOCK_BANDS
-from .scorer import BlockScorer, score_block_pandas
+from .scorer import BlockScorer
 from .cluster import connected_components
 from .urls import (
     canonicalize_urls,
@@ -37,7 +37,6 @@ __all__ = [
     "ann_ivf_topk",
     "ann_lsh_topk",
     "semdedup",
-    "score_block_pandas",
     "connected_components",
     "canonicalize_urls",
     "host_stats",

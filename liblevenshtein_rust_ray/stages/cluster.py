@@ -29,6 +29,8 @@ the contracted size selects.  All paths produce identical output:
 url — deterministic across runs, partitionings and paths.
 """
 
+import logging
+
 import pandas as pd
 import pyarrow as pa
 
@@ -863,11 +865,16 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
         if new_sig == sig:
             if stats is not None:
                 stats["rounds"] = _round + 1
+                stats["converged"] = True
             break
         sig = new_sig
     else:
         if stats is not None:
             stats["rounds"] = max_rounds
+            stats["converged"] = False
+        logging.getLogger(__name__).warning(
+            "connected components: labels did not converge in max_rounds=%d "
+            "rounds; components may be split", max_rounds)
 
     # ---- 2. ids back to urls + exact min-url labels ---------------------
     # Dense-rank broadcast regime (idmap_ref set): ids are 0..n-1 in url
@@ -984,7 +991,12 @@ def connected_components(
     combine), alternating-key passes shrink the residual further, and the
     contracted set goes to the driver if it now fits, else to the
     distributed rounds (which then run over the smaller star set — fewer
-    bytes per exchange and star diameter ≤ 2 per merged region)."""
+    bytes per exchange and star diameter ≤ 2 per merged region).
+
+    ``stats`` receives the ``path`` taken and, when label rounds ran,
+    ``rounds`` and ``converged``: False if ``max_rounds`` ran out while
+    labels still changed, so components may be split (also logged as a
+    warning)."""
     import ray.data as rd
 
     if mode in ("auto", "driver"):

@@ -1,80 +1,25 @@
-"""Bucketed group-apply: the cure for per-group Python dispatch.
+"""Bucketed apply: the cure for per-group Python dispatch.
 
 ``ds.groupby(key).map_groups(fn)`` calls Python once per GROUP — at millions
 of small blocks (the normal case for blocking keys) the ~0.1-0.2 ms dispatch
-dominates end-to-end time.  ``bucketed_group_apply`` instead:
+dominates end-to-end time.  The helpers here instead:
 
-1. hashes the key columns into ``n_buckets`` coarse buckets (vectorized,
+1. hash the key columns into ``n_buckets`` coarse buckets (vectorized,
    deterministic — pandas siphash with its fixed key, process-independent);
-2. runs ONE ``map_groups`` per bucket (tiny dispatch count);
-3. inside each bucket, groups by the real key with pandas' C groupby and
-   calls ``fn`` only for qualifying groups (``min_group_size`` prunes
-   singletons before any Python work).
+2. run ONE ``map_groups`` per bucket (tiny dispatch count);
+3. hand the whole bucket to ``bucket_fn``, which does its own vectorized
+   per-key work (pandas/Arrow C groupbys, numpy kernels).
 
 All members of a key share its bucket, so semantics are identical to a
 per-key groupby.  ``n_buckets`` bounds bucket size ≈ rows / n_buckets: size
 it so a bucket fits a worker's heap (at webscale pass thousands of buckets;
-the shuffle cost is the same one exchange).
+the shuffle cost is the same one exchange).  :func:`bucketed_apply_arrow`
+keeps batches as ``pa.Table`` end to end (the ER path);
+:func:`bucketed_apply` is its pandas form for the aggregate-shaped stages.
 """
 
 import numpy as np
 import pandas as pd
-
-
-def bucketed_group_apply(
-    ds,
-    key_cols,
-    fn,
-    n_buckets: int = 64,
-    min_group_size: int = 1,
-    empty_result: pd.DataFrame | None = None,
-):
-    """Apply ``fn(group_df) -> DataFrame`` per distinct key tuple, bucketed.
-
-    ``empty_result`` pins the output schema when every group is pruned."""
-    if isinstance(key_cols, str):
-        key_cols = [key_cols]
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        h = pd.util.hash_pandas_object(df[list(key_cols)], index=False)
-        # uint32 before the mod: this host's CPU has no vectorized 64-bit
-        # integer division (uint64 % is ~30x slower than uint32 %)
-        df["__bucket"] = (
-            h.to_numpy().astype("uint32") % np.uint32(n_buckets)
-        ).astype("int32")
-        return df
-
-    # single-column groupers must be scalar (a one-element list makes pandas
-    # yield 1-tuple iteration keys that don't match .size()'s scalar index)
-    grouper = key_cols[0] if len(key_cols) == 1 else list(key_cols)
-
-    def apply_bucket(bucket: pd.DataFrame):
-        outs = []
-        grouped = bucket.groupby(grouper, sort=False)
-        if min_group_size > 1:
-            sizes = grouped.size()
-            keep = set(sizes[sizes >= min_group_size].index)
-            items = ((k, g) for k, g in grouped if k in keep)
-        else:
-            items = iter(grouped)
-        for _key, g in items:
-            out = fn(g.drop(columns="__bucket"))
-            if out is not None and len(out):
-                outs.append(out)
-        if not outs:
-            if empty_result is not None:
-                return _empty_arrow(empty_result)
-            return _schema_probe(fn, bucket, key_cols)
-        return _as_typed_block(pd.concat(outs, ignore_index=True),
-                               empty_result)
-
-    out = (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(apply_bucket, batch_format="pandas")
-    )
-    return _with_schema_sentinel(out, empty_result)
 
 
 def _as_typed_block(out, empty_result: pd.DataFrame | None):
@@ -134,8 +79,8 @@ def _with_schema_sentinel(out, empty_result: pd.DataFrame | None):
 
 def bucketed_apply(ds, key_cols, bucket_fn, n_buckets: int = 64,
                    empty_result: pd.DataFrame | None = None):
-    """Vectorized cousin of :func:`bucketed_group_apply`: ``bucket_fn`` gets
-    the WHOLE bucket DataFrame and does its own (pandas C) grouping —
+    """Apply ``bucket_fn`` per hash bucket of ``key_cols``: it gets the
+    WHOLE bucket DataFrame and does its own (pandas C) grouping —
     e.g. ``df.groupby(keys, as_index=False)[col].min()``.  Total Python
     dispatches = n_buckets, regardless of group count.  Use it for
     aggregate-shaped per-key logic (dedup, min/sum/count combine)."""
@@ -164,18 +109,6 @@ def bucketed_apply(ds, key_cols, bucket_fn, n_buckets: int = 64,
         .map_groups(apply_bucket, batch_format="pandas")
     )
     return _with_schema_sentinel(out, empty_result)
-
-
-def _schema_probe(fn, bucket: pd.DataFrame, key_cols) -> pd.DataFrame:
-    """Derive an empty-but-typed frame so Ray keeps a stable schema even when
-    a bucket yields nothing: run fn on the first group and take .iloc[:0]."""
-    grouper = key_cols[0] if len(key_cols) == 1 else list(key_cols)
-    for _key, g in bucket.groupby(grouper, sort=False):
-        out = fn(g.drop(columns="__bucket"))
-        if out is not None:
-            return out.iloc[:0]
-        break
-    return pd.DataFrame()
 
 
 def hash_buckets(tbl, key_cols, n_buckets: int):

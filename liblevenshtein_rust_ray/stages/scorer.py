@@ -1,14 +1,21 @@
 """Per-block pairwise scoring — the heart of the engine.
 
-``BlockScorer`` is the stateful stage run as
-``groupby("block_key").map_groups(BlockScorer(...), batch_format="pandas")``:
-per group it dedups the block's strings, builds a trie over the distinct
-strings (cheap — the reference builds 10k-term indexes in ~3 ms,
-docs/benchmarks/FINAL_BACKEND_COMPARISON.md:19-26) and runs the intersected
-automaton-trie traversal per distinct string, emitting canonical edges
-``(url_a, url_b, distance)`` with ``url_a < url_b``.
+Two bucket scorers with one signature,
+``(pa.Table of (block_key, url, key_string), max_distance, algorithm,
+max_block_strings) -> pa.Table of (url_a, url_b, distance)``, each run once
+per hash bucket of ``block_key`` (``er_pairs`` picks one):
 
-Scale design decisions (north rule):
+* :func:`score_bucket_vectorized_arrow` (default) — integer codes and the
+  numpy banded-DP kernel over the whole bucket, representative edges.
+* :func:`score_bucket_all_pairs_arrow` (``emit_all_pairs``) — per block,
+  ``BlockScorer``: dedup the block's strings, build a trie over the
+  distinct strings (cheap — the reference builds 10k-term indexes in
+  ~3 ms, docs/benchmarks/FINAL_BACKEND_COMPARISON.md:19-26) and run the
+  intersected automaton-trie traversal per distinct string: the SQL-oracle
+  semantics.
+
+Both emit canonical edges ``(url_a, url_b, distance)`` with
+``url_a < url_b``.  Scale design decisions (north rule):
 
 * **Identical strings collapse.**  k urls sharing one string produce a
   distance-0 STAR (k-1 edges to the lexicographically-smallest url), not
@@ -24,13 +31,13 @@ Scale design decisions (north rule):
   group, so no extra shuffle.  Sub-block membership is replicated across
   2 rotations to keep boundary pairs.
 * Traversal state (automaton transition memos) is per-query; the trie is
-  per-group.  Parallelism is across groups (Ray actor pool), never inside
-  a traversal (reference pool.rs:43-47).
+  per-group.  Parallelism is across buckets (Ray tasks), never inside a
+  traversal (reference pool.rs:43-47).
 """
 
 import pandas as pd
 
-from ..kernel import STANDARD, LevenshteinAutomaton, build_trie
+from ..kernel import STANDARD, build_trie
 from ..kernel.query import query as kernel_query
 from ..functions.simhash import simhash64
 from ..functions.tokenize import char_ngrams
@@ -45,8 +52,8 @@ def _empty_edges() -> pd.DataFrame:
 
 
 class BlockScorer:
-    """Callable class for ``map_groups`` (actor pool when ``concurrency`` is
-    set on the enclosing ``map_batches``)."""
+    """Scores one block: a pandas frame of (block_key, url, key_string)
+    rows sharing a ``block_key``."""
 
     def __init__(
         self,
@@ -146,9 +153,32 @@ class BlockScorer:
                     out_d.append(cand.distance)
 
 
-def score_block_pandas(group: pd.DataFrame, **kwargs) -> pd.DataFrame:
-    """Function wrapper for quick use in ``map_groups`` without an actor."""
-    return BlockScorer(**kwargs)(group)
+def score_bucket_all_pairs_arrow(
+    tbl,
+    max_distance: int = 2,
+    algorithm: str = STANDARD,
+    max_block_strings: int = 512,
+):
+    """(block_key, url, key_string) rows -> every url pair within
+    ``max_distance`` per block, through ``BlockScorer(emit_all_pairs=True)``:
+    the quadratic SQL-oracle semantics (identical strings give a distance-0
+    clique, not a star, and every url of a matching string pair is paired).
+    Pairs are not deduplicated across blocks; callers min-dedup them."""
+    import pyarrow as pa
+
+    scorer = BlockScorer(
+        max_distance=max_distance, algorithm=algorithm,
+        emit_all_pairs=True, max_block_strings=max_block_strings,
+    )
+    outs = [scorer(g) for _key, g in tbl.to_pandas().groupby("block_key", sort=False)
+            if len(g) > 1]
+    outs = [o for o in outs if len(o)]
+    if not outs:
+        return _empty_edges_arrow()
+    return pa.Table.from_pandas(
+        pd.concat(outs, ignore_index=True), schema=_edges_schema(),
+        preserve_index=False,
+    ).replace_schema_metadata(None)
 
 
 # ======================================================================
@@ -156,86 +186,14 @@ def score_block_pandas(group: pd.DataFrame, **kwargs) -> pd.DataFrame:
 #
 # The automaton path above is exact but pays Python per traversal step; at
 # blocking-key granularity groups average a handful of rows, so per-group
-# Python work dominates.  ``score_bucket_vectorized`` instead processes a
-# WHOLE hash bucket of blocks with pandas C groupbys + ONE call into the
-# numpy banded-DP kernel (kernel.vectorized — the reference's SIMD
-# distance-matrix capability, src/distance/simd.rs), with semantics
-# identical to BlockScorer: distance-0 stars for identical strings,
+# Python work dominates.  ``score_bucket_vectorized_arrow`` instead
+# processes a WHOLE hash bucket of blocks with integer codes + ONE call into
+# the numpy banded-DP kernel (kernel.vectorized — the reference's SIMD
+# distance-matrix capability, src/distance/simd.rs), with BlockScorer's
+# representative-edge semantics: distance-0 stars for identical strings,
 # representative edges across distinct strings, simhash-view salting for
 # oversized blocks.  Parity is pinned by tests/test_stages.py.
 # ======================================================================
-def _salt_oversized(dd: pd.DataFrame, max_block_strings: int) -> pd.DataFrame:
-    """In-group salting: blocks whose distinct-string count exceeds the cap
-    are subdivided by two rotated 8-bit simhash views — near-identical
-    strings agree on most bits, so a true pair shares at least one view
-    bucket w.h.p. (same rule as BlockScorer._subdivide)."""
-    sizes = dd.groupby("block_key", sort=False)["key_string"].transform("size")
-    small = dd[sizes <= max_block_strings]
-    big = dd[sizes > max_block_strings]
-    if not len(big):
-        return small
-    salted = []
-    for view, shift in enumerate((24, 52)):
-        b = big.copy()
-        b["block_key"] = [
-            f"{k}#s{view}|{(simhash64(char_ngrams(s, 3)) >> shift) & 0xFF:02x}"
-            for k, s in zip(b["block_key"], b["key_string"])
-        ]
-        salted.append(b)
-    return pd.concat([small, *salted], ignore_index=True)
-
-
-def score_bucket_vectorized(
-    bucket: pd.DataFrame,
-    max_distance: int = 2,
-    algorithm: str = STANDARD,
-    max_block_strings: int = 512,
-    subst=None,
-) -> pd.DataFrame:
-    """(block_key, url, key_string) rows -> canonical edges for the bucket.
-
-    NOTE: this path always star-collapses identical strings and scores one
-    representative url per distinct string — there is deliberately NO
-    ``emit_all_pairs`` mode here; quadratic SQL-oracle output goes through
-    ``BlockScorer(emit_all_pairs=True)``.
-
-    All-integer hot path: urls / strings / block keys are factorized ONCE
-    and every later step (triple dedup, star edges, salting, in-block
-    upper-triangle pair generation, pair dedup) runs on int codes — a
-    pandas object-string self-join here was 6 of the 9.6 s hot-bucket
-    profile at sf0.5.  ``np.unique`` sorts, so sid order == lexicographic
-    string order and canonical pair order is an int comparison."""
-    import numpy as np
-
-    n = max_distance
-    if not len(bucket):
-        return _empty_edges()
-
-    # hash-based factorize with sorted uniques (np.unique semantics but
-    # O(n) hashing + a uniques-only sort instead of an n-row object sort);
-    # block-key codes don't need an order at all
-    uid, uniq_urls = pd.factorize(bucket["url"].to_numpy(), sort=True)
-    sid, uniq_strs = pd.factorize(bucket["key_string"].to_numpy(), sort=True)
-    bkid, _ = pd.factorize(bucket["block_key"].to_numpy(), sort=False)
-    uniq_urls = np.asarray(uniq_urls, dtype=object)
-    uniq_strs = list(uniq_strs)
-
-    lo, hi, dist = _score_bucket_core(
-        bkid.astype(np.int64), sid.astype(np.int64), uid.astype(np.int64),
-        uniq_strs, max_distance=n, algorithm=algorithm,
-        max_block_strings=max_block_strings, subst=subst,
-    )
-    if not len(lo):
-        return _empty_edges()
-    return pd.DataFrame(
-        {
-            "url_a": uniq_urls[lo],
-            "url_b": uniq_urls[hi],
-            "distance": dist.astype("int32"),
-        }
-    )
-
-
 def _edges_schema():
     import pyarrow as pa
 
@@ -276,13 +234,15 @@ def score_bucket_vectorized_arrow(
     max_block_strings: int = 512,
     subst=None,
 ):
-    """Arrow-native twin of :func:`score_bucket_vectorized`: the exchange
-    hands us a ``pa.Table`` and we never materialize row-level Python
-    strings — dictionary-encode in C, run the same integer core, then
-    ``take`` the output urls straight from the Arrow dictionary.  Measured
-    against the pandas wrapper the per-bucket frontend drops the
-    object-conversion cost of every row (only distinct strings cross into
-    Python, for the DP kernel)."""
+    """(block_key, url, key_string) rows -> canonical edges for the bucket:
+    distance-0 stars for identical strings, one representative (min-url)
+    edge per distinct string pair within ``max_distance``.
+
+    The exchange hands us a ``pa.Table`` and we never materialize row-level
+    Python strings — dictionary-encode in C, run the integer core, then
+    ``take`` the output urls straight from the Arrow dictionary (only
+    distinct strings cross into Python, for the DP kernel).  Quadratic
+    SQL-oracle output goes through :func:`score_bucket_all_pairs_arrow`."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -318,8 +278,8 @@ def _score_bucket_core(
     """All-integer bucket scoring: (block, string, url) id triples ->
     deduped canonical edges ``(lo_url_idx, hi_url_idx, distance)``.
 
-    ``sid`` codes MUST be assigned in lexicographic string order (both
-    wrappers factorize with sorted uniques) — canonical pair order is an
+    ``sid`` codes MUST be assigned in lexicographic string order
+    (:func:`_sorted_codes` ranks them) — canonical pair order is an
     int comparison on sids, and distance-0 star representatives are the
     min uid per (block, string) group."""
     import numpy as np
@@ -488,187 +448,3 @@ def _score_bucket_core(
     keep[:1] = True
     keep[1:] = (all_lo[1:] != all_lo[:-1]) | (all_hi[1:] != all_hi[:-1])
     return all_lo[keep], all_hi[keep], all_d[keep]
-
-
-# ======================================================================
-# Exchange-deduped scoring (the er_pairs default since round 2).
-#
-# ``score_bucket_vectorized`` dedups string pairs WITHIN one hash bucket,
-# but the same title pair co-occurs under several blocking keys (one per
-# shared token) that hash to DIFFERENT buckets, so the banded-DP kernel
-# re-scored each distinct pair ~3x.  The split below scores every distinct
-# string pair exactly ONCE globally, with the same total exchange count:
-#
-#   phase A (per block-bucket)  ``candidate_pairs_bucket``:
-#       distance-0 star rows + UNSCORED candidate rows, keyed by the
-#       canonical string pair (s_a <= s_b);
-#   exchange on (s_a, s_b)      co-locates every occurrence of a pair;
-#   phase B (per pair-bucket)   ``score_candidates_bucket``:
-#       one DP call per distinct pair, then url-pair dedup.
-#
-# The url-pair dedup inside phase B is GLOBAL, not partial, because each
-# url carries exactly one key_string (its extracted title), so an
-# unordered url pair determines its unordered string pair — all of its
-# occurrences land in the same pair bucket.  That invariant lets the pair
-# exchange REPLACE the old edge-dedup exchange instead of adding a third.
-# ======================================================================
-CANDIDATE_COLUMNS = ["s_a", "s_b", "url_a", "url_b", "distance"]
-
-
-def _empty_candidates() -> pd.DataFrame:
-    return pd.DataFrame({"s_a": pd.Series(dtype="object"),
-                         "s_b": pd.Series(dtype="object"),
-                         "url_a": pd.Series(dtype="object"),
-                         "url_b": pd.Series(dtype="object"),
-                         "distance": pd.Series(dtype="int32")})
-
-
-def candidate_pairs_bucket(
-    bucket: pd.DataFrame,
-    max_distance: int = 2,
-    max_block_strings: int = 512,
-    algorithm: str = STANDARD,
-    subst=None,
-) -> pd.DataFrame:
-    """Phase A: (block_key, url, key_string) rows -> star edges
-    (``distance=0``) plus unscored candidate rows (``distance=-1``), each
-    keyed by its canonical string pair."""
-    import numpy as np
-
-    n = max_distance
-    du = bucket.drop_duplicates(["block_key", "key_string", "url"]).copy()
-    uniq_urls, uid = np.unique(du["url"].to_numpy(), return_inverse=True)
-    du["url"] = uid.astype(np.int64)
-
-    # distance-0 stars: k urls sharing (block, string) -> k-1 edges
-    rep = du.groupby(["block_key", "key_string"], sort=False)["url"].transform("min")
-    star = du["url"].to_numpy() != rep.to_numpy()
-    s_star = du["key_string"].to_numpy()[star]
-    stars = pd.DataFrame(
-        {
-            "s_a": s_star,
-            "s_b": s_star,
-            "url_a": uniq_urls[rep.to_numpy()[star]],
-            "url_b": uniq_urls[du["url"].to_numpy()[star]],
-            "distance": np.zeros(int(star.sum()), dtype="int32"),
-        }
-    ).drop_duplicates(["url_a", "url_b"])
-
-    dd = du.groupby(["block_key", "key_string"], as_index=False, sort=False)["url"].min()
-    dd = _salt_oversized(dd, max_block_strings)
-
-    # hashed char-histogram per distinct string: one edit changes the
-    # histogram L1 norm by at most 2 (substitution) for standard /
-    # transposition, at most 3 (merge/split), and the length by at most 1
-    # — so distance >= max(ceil(L1/k), |len_a - len_b|).  Filtering
-    # candidates on this bound BEFORE the pair exchange prunes the
-    # genuinely-far shared-token pairs (~17% on the synthetic corpus,
-    # much more on web-scale vocab where shared-token titles are rarely
-    # near) from both the exchange and the DP.  Char hashing (mod 64)
-    # only weakens the bound, never breaks it.
-    l1_per_edit = 3 if algorithm == "merge_and_split" else 2
-    uniq, sid = np.unique(dd["key_string"].to_numpy(), return_inverse=True)
-    lens = np.fromiter((len(s) for s in uniq), np.int64, count=len(uniq))
-    codes = (
-        np.frombuffer("".join(uniq).encode("utf-32-le"), dtype=np.uint32)
-        & np.uint32(63)
-        if len(uniq) else np.zeros(0, np.uint32)
-    )
-    rows = np.repeat(np.arange(len(uniq)), lens)
-    H = np.zeros((len(uniq), 64), dtype=np.int32)
-    np.add.at(H, (rows, codes), 1)
-    dd = dd.assign(__sid=sid)
-
-    m = dd.merge(dd, on="block_key", suffixes=("_a", "_b"))
-    m = m[m["key_string_a"] < m["key_string_b"]]
-    if len(m):
-        sa = m["__sid_a"].to_numpy()
-        sb = m["__sid_b"].to_numpy()
-        keep = np.abs(lens[sa] - lens[sb]) <= n
-        if subst is None:  # free substitutions would break the L1 bound
-            l1 = np.abs(H[sa] - H[sb]).sum(axis=1)
-            # ceil(l1/k) <= n  <=>  l1 <= n*k  (avoids slow int64 //)
-            keep &= l1 <= n * l1_per_edit
-        m = m[keep]
-    if len(m):
-        ua = m["url_a"].to_numpy()
-        ub = m["url_b"].to_numpy()
-        lo = np.minimum(ua, ub)
-        hi = np.maximum(ua, ub)
-        keep = lo != hi
-        cand = pd.DataFrame(
-            {
-                "s_a": m["key_string_a"].to_numpy()[keep],
-                "s_b": m["key_string_b"].to_numpy()[keep],
-                "url_a": uniq_urls[lo[keep]],
-                "url_b": uniq_urls[hi[keep]],
-                "distance": np.full(int(keep.sum()), -1, dtype="int32"),
-            }
-        ).drop_duplicates(["url_a", "url_b"])
-    else:
-        cand = _empty_candidates()
-
-    out = pd.concat([stars, cand], ignore_index=True)
-    if not len(out):
-        return _empty_candidates()
-    out["distance"] = out["distance"].astype("int32")
-    return out
-
-
-def score_candidates_bucket(
-    bucket: pd.DataFrame,
-    max_distance: int = 2,
-    algorithm: str = STANDARD,
-    subst=None,
-) -> pd.DataFrame:
-    """Phase B: one pair-keyed bucket of candidate rows -> canonical edges;
-    each distinct string pair hits the DP kernel exactly once."""
-    from ..kernel.vectorized import batch_distances
-
-    n = max_distance
-    stars = bucket[bucket["distance"] >= 0]
-    cand = bucket[bucket["distance"] < 0]
-    parts = []
-    if len(stars):
-        parts.append(stars[["url_a", "url_b", "distance"]])
-    if len(cand):
-        cand = cand.drop_duplicates(["url_a", "url_b"])
-        up = cand[["s_a", "s_b"]].drop_duplicates()
-        d = batch_distances(up["s_a"].tolist(), up["s_b"].tolist(), n, algorithm, subst)
-        up = up.assign(__d=d)
-        up = up[up["__d"] <= n]
-        scored = cand.merge(up, on=["s_a", "s_b"])
-        if len(scored):
-            scored = scored.assign(distance=scored["__d"].astype("int32"))
-            parts.append(scored[["url_a", "url_b", "distance"]])
-    if not parts:
-        return _empty_edges()
-    out = pd.concat(parts, ignore_index=True)
-    # global url-pair dedup (see module comment: one key_string per url =>
-    # every occurrence of this url pair is in this bucket)
-    out = out.groupby(["url_a", "url_b"], as_index=False)["distance"].min()
-    out["distance"] = out["distance"].astype("int32")
-    return out
-
-
-class CandidateScorerActor:
-    """Actor-pool form of phase B (the DP-heavy stage): ``__init__`` runs
-    once per actor and holds the parametric universal-automaton tables
-    (kernel.universal, SURVEY.md §2.4) — the broadcast-once scoring state;
-    ``__call__`` scores one pair-keyed bucket.  Output identical to
-    :func:`score_candidates_bucket` (pinned by tests)."""
-
-    def __init__(self, max_distance: int = 2, algorithm: str = STANDARD):
-        from ..kernel.universal import universal_automaton
-
-        self.max_distance = max_distance
-        self.algorithm = algorithm
-        self.universal = universal_automaton(min(max_distance, 3))
-
-    def __call__(self, bucket: pd.DataFrame) -> pd.DataFrame:
-        out = score_candidates_bucket(
-            bucket.drop(columns="__bucket", errors="ignore"),
-            max_distance=self.max_distance,
-            algorithm=self.algorithm,
-        )
-        return out if len(out) else _empty_edges()

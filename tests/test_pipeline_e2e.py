@@ -163,26 +163,6 @@ def test_er_pairs_incremental_equals_full(corpus):
     assert ci.equals(cf)
 
 
-def test_er_pairs_actor_pool_parity(corpus):
-    """scorer_concurrency engages a stateful actor pool (per-actor universal
-    tables + memo cache); output identical to the task path."""
-    tab, _ = corpus
-    task = er_pairs(tab).to_pandas()
-    act = er_pairs(tab, scorer_concurrency=2).to_pandas()
-    key = lambda df: set(map(tuple, df[["url_a", "url_b", "distance"]].values.tolist()))
-    assert key(task) == key(act)
-
-
-def test_er_pairs_engine_parity(corpus):
-    """The default single-phase plan (duplicate DP, edge-sized second
-    exchange) and the score-once pair-exchange plan are output-identical."""
-    tab, _ = corpus
-    default = er_pairs(tab).to_pandas()
-    once = er_pairs(tab, engine="vectorized_once").to_pandas()
-    key = lambda df: set(map(tuple, df[["url_a", "url_b", "distance"]].values.tolist()))
-    assert key(default) == key(once)
-
-
 def _dp_scan_edges(pages, max_distance=2):
     """The default engine's edge semantics, by brute force: in each block,
     every url stars (distance 0) to the smallest url sharing its title, and
@@ -219,6 +199,16 @@ def _sorted_edges(ds):
             .reset_index(drop=True))
 
 
+def _with_duplicates(tab, n=10):
+    """``tab`` plus its first ``n`` pages again under new urls."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    dup = tab.slice(0, n)
+    dup = dup.set_column(0, "url", pc.binary_join_element_wise(dup["url"], "/dup", ""))
+    return pa.concat_tables([tab, dup])
+
+
 def _speedups(plan):
     """A ``LOCAL_SPEEDUPS`` table that makes er_pairs pick ``plan`` for any
     input the local plan can take."""
@@ -237,13 +227,7 @@ def test_er_pairs_default_engine_matches_dp_scan(corpus, plan, monkeypatch):
     """The default engine's edges equal a pure-Python DP scan of every
     block, under both plans.  Ten pages are repeated under new urls so
     identical titles (distance-0 stars) are covered too."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    tab, _ = corpus
-    dup = tab.slice(0, 10)
-    dup = dup.set_column(0, "url", pc.binary_join_element_wise(dup["url"], "/dup", ""))
-    tab = pa.concat_tables([tab, dup])
+    tab = _with_duplicates(corpus[0])
     want = _dp_scan_edges(tab)
     assert {d for *_, d in want} == {0, 1, 2}
     _force_plan(monkeypatch, plan)
@@ -337,11 +321,40 @@ def test_er_pairs_local_plan_checkpoint_resume(tmp_path, corpus, monkeypatch):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_checkpoints_not_reused_across_scorer_settings(tmp_path, corpus):
+    """The pairs and clusters fingerprints cover every option that changes
+    the edges: a checkpointed default run is not re-served to a later
+    all-pairs or different-cap call under the same ``fingerprint``."""
+    import pandas as pd
+
+    from liblevenshtein_rust_ray.pipelines.entity_resolution import er_clusters
+
+    tab = _with_duplicates(corpus[0])  # identical titles: stars != cliques
+    ck = CheckpointManager(str(tmp_path / "run"))
+    default = _sorted_edges(er_pairs(tab, checkpoints=ck, fingerprint="p"))
+    all_pairs = _sorted_edges(er_pairs(tab, checkpoints=ck, fingerprint="p",
+                                       emit_all_pairs=True))
+    assert len(all_pairs) > len(default)
+    pd.testing.assert_frame_equal(all_pairs,
+                                  _sorted_edges(er_pairs(tab, emit_all_pairs=True)))
+    capped = _sorted_edges(er_pairs(tab, checkpoints=ck, fingerprint="p",
+                                    max_block_strings=1))
+    pd.testing.assert_frame_equal(capped,
+                                  _sorted_edges(er_pairs(tab, max_block_strings=1)))
+
+    fps = set()
+    for kw in ({}, {"emit_all_pairs": True}, {"max_block_strings": 1}):
+        er_clusters(tab, checkpoints=ck, fingerprint="c", **kw).materialize()
+        fps.add(ck.manifest("clusters")["input_fingerprint"])
+    assert len(fps) == 3
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_er_pairs_auto_guard(tmp_path, corpus, monkeypatch):
     """The local plan runs only where the guard allows it: today's
     distributed plan runs above the page guard, on many-CPU clusters, for
     inputs without a free row count (lazy derived Datasets, directories
-    Ray lists by its own rules) and for the other engines."""
+    Ray lists by its own rules) and for the all-pairs scorer."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -369,7 +382,6 @@ def test_er_pairs_auto_guard(tmp_path, corpus, monkeypatch):
         (dict(source=rd.read_parquet(pages_dir).map_batches(
             lambda t: t, batch_format="pyarrow")), real, 1, "distributed"),
         (dict(source=tab, emit_all_pairs=True), real, 1, "distributed"),
-        (dict(source=tab, engine="vectorized_once"), real, 1, "distributed"),
     ] + [(dict(source=d), real, 1, "distributed") for d in odd_dirs]
     for kwargs, speedups, cpus, plan in cases:
         monkeypatch.setattr(entity_resolution, "LOCAL_SPEEDUPS", speedups)
@@ -378,8 +390,6 @@ def test_er_pairs_auto_guard(tmp_path, corpus, monkeypatch):
         er_pairs(stats=stats, **kwargs).materialize()
         assert stats["plan"] == plan, (kwargs, speedups, cpus, stats)
     assert entity_resolution._parquet_files(odd_dirs[0]) is None
-    with pytest.raises(ValueError):
-        er_pairs(tab, engine="vectorized_pandas")
 
 
 def test_local_max_pages_by_cpus():

@@ -235,12 +235,15 @@ def test_connected_components_auto_contraction_parity(threshold):
 
 
 def test_vectorized_bucket_scorer_parity():
-    """score_bucket_vectorized ≡ BlockScorer per block + global pair dedup,
-    including identical-string stars, representative edges, and salting."""
+    """score_bucket_vectorized_arrow ≡ BlockScorer (the automaton reference)
+    per block + global pair dedup, including identical-string stars,
+    representative edges, and salting."""
     import numpy as np
     import pandas as pd
 
-    from liblevenshtein_rust_ray.stages.scorer import BlockScorer, score_bucket_vectorized
+    from liblevenshtein_rust_ray.stages.scorer import (
+        BlockScorer, score_bucket_vectorized_arrow,
+    )
 
     rng = np.random.default_rng(11)
     alpha = list("abcdef ")
@@ -263,17 +266,21 @@ def test_vectorized_bucket_scorer_parity():
         .groupby(["url_a", "url_b"], as_index=False)["distance"].min()
         if outs else pd.DataFrame(columns=["url_a", "url_b", "distance"])
     )
-    vec = score_bucket_vectorized(df)
+    vec = score_bucket_vectorized_arrow(pa.Table.from_pandas(df, preserve_index=False))
     a = set(map(tuple, auto.values.tolist()))
-    v = set(map(tuple, vec.values.tolist()))
+    v = set(zip(*vec.to_pydict().values()))
     assert a == v
+    assert {d for *_, d in v} == {0, 1, 2}  # stars and both edit distances
 
 
 def test_vectorized_scorer_salting_parity():
-    """Oversized blocks go through the same two-view simhash salting."""
+    """Oversized blocks go through the same two-view simhash salting as
+    BlockScorer's."""
     import pandas as pd
 
-    from liblevenshtein_rust_ray.stages.scorer import BlockScorer, score_bucket_vectorized
+    from liblevenshtein_rust_ray.stages.scorer import (
+        BlockScorer, score_bucket_vectorized_arrow,
+    )
 
     strings = [f"shared prefix string number {i:04d}" for i in range(40)]
     df = pd.DataFrame(
@@ -281,8 +288,36 @@ def test_vectorized_scorer_salting_parity():
     )
     sc = BlockScorer(max_block_strings=8)
     auto = sc(df).groupby(["url_a", "url_b"], as_index=False)["distance"].min()
-    vec = score_bucket_vectorized(df, max_block_strings=8)
-    assert set(map(tuple, auto.values.tolist())) == set(map(tuple, vec.values.tolist()))
+    vec = score_bucket_vectorized_arrow(pa.Table.from_pandas(df, preserve_index=False),
+                                        max_block_strings=8)
+    assert set(map(tuple, auto.values.tolist())) == set(zip(*vec.to_pydict().values()))
+
+
+def test_all_pairs_bucket_scorer_matches_block_scorer():
+    """score_bucket_all_pairs_arrow is BlockScorer(emit_all_pairs=True) per
+    block (singleton blocks skipped), as an Arrow table of the edge schema."""
+    import pandas as pd
+
+    from liblevenshtein_rust_ray.stages.scorer import (
+        _edges_schema, score_bucket_all_pairs_arrow,
+    )
+
+    df = pd.DataFrame({
+        "block_key": ["b1"] * 5 + ["b2"] * 3 + ["b3"],
+        "url": ["u1", "u2", "u3", "u4", "u5", "u1", "u6", "u7", "u8"],
+        "key_string": ["same title", "same title", "same titel", "other thing",
+                       "same title", "same title", "same title", "sane title",
+                       "lonely"],
+    })
+    want = pd.concat([BlockScorer(emit_all_pairs=True)(g)
+                      for _, g in df.groupby("block_key") if len(g) > 1])
+    got = score_bucket_all_pairs_arrow(pa.Table.from_pandas(df, preserve_index=False))
+    assert got.schema == _edges_schema()
+    assert sorted(zip(*got.to_pydict().values())) == sorted(
+        map(tuple, want.values.tolist()))
+    assert ("u1", "u2", 0) in set(zip(*got.to_pydict().values()))
+    empty = score_bucket_all_pairs_arrow(pa.Table.from_pandas(df.iloc[8:], preserve_index=False))
+    assert empty.num_rows == 0 and empty.schema == _edges_schema()
 
 
 def test_blocking_recall_property():
@@ -374,22 +409,42 @@ def test_distributed_cc_multiblock_termination():
     assert a.equals(b)
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_distributed_cc_reports_convergence(caplog):
+    """An exhausted label loop says so: ``converged`` is False (and a
+    warning is logged) when ``max_rounds`` runs out on a long path, True
+    under the default ``max_rounds``."""
+    import ray.data as rd
+
+    from liblevenshtein_rust_ray.stages.cluster import connected_components
+
+    pairs = rd.from_items([
+        {"url_a": f"n{i:04d}", "url_b": f"n{i + 1:04d}", "distance": 1}
+        for i in range(31)
+    ])
+    cut = {}
+    connected_components(pairs, mode="distributed", n_buckets=4, max_rounds=1,
+                         stats=cut).materialize()
+    assert cut["converged"] is False and cut["rounds"] == 1, cut
+    assert "did not converge" in caplog.text
+    full = {}
+    got = connected_components(pairs, mode="distributed", n_buckets=4,
+                               stats=full).to_pandas()
+    assert full["converged"] is True, full
+    assert (got["cluster_id"] == "n0000").all()
+
+
 def test_empty_arrow_matches_edge_schema():
     """Empty bucket outputs are typed Arrow tables with the SAME column set
     and compatible types as real edge frames (they union downstream)."""
     from liblevenshtein_rust_ray.stages.grouped import _empty_arrow
-    from liblevenshtein_rust_ray.stages.scorer import (
-        _empty_candidates,
-        _empty_edges,
-    )
+    from liblevenshtein_rust_ray.stages.scorer import _empty_edges, _edges_schema
 
-    for empty in (_empty_edges(), _empty_candidates()):
-        t = _empty_arrow(empty)
-        assert t.num_rows == 0
-        assert t.column_names == list(empty.columns)
-        for c in empty.columns:
-            typ = t.schema.field(c).type
-            assert pa.types.is_string(typ) or pa.types.is_integer(typ), (c, typ)
+    empty = _empty_edges()
+    t = _empty_arrow(empty)
+    assert t.num_rows == 0
+    assert t.column_names == list(empty.columns)
+    assert t.schema == _edges_schema()
 
 
 def test_numpy_thp_madvise_disabled_in_process():
