@@ -87,7 +87,6 @@ def cmd_run_er(args) -> int:
         max_distance=args.max_distance,
         algorithm=args.algorithm,
         checkpoints=ck,
-        cc_mode=args.cc_mode,
     )
     n = clusters.count()
     print(json.dumps({"clustered_urls": n, "output": args.output}))
@@ -354,9 +353,6 @@ def main(argv=None) -> int:
     r.add_argument("-n", "--max-distance", type=int, default=2)
     r.add_argument("--algorithm", default="standard")
     r.add_argument("--checkpoint-dir", default="")
-    r.add_argument("--cc-mode", default="auto",
-                   choices=["auto", "driver", "distributed"],
-                   help="clustering path (auto = edge-count switch)")
     r.add_argument("--address", default="local")
     r.set_defaults(fn=cmd_run_er)
 

@@ -292,17 +292,14 @@ def er_clusters(
     algorithm: str = STANDARD,
     checkpoints: CheckpointManager | None = None,
     fingerprint: str = "",
-    cc_mode: str = "auto",
     emit_all_pairs: bool = False,
     max_block_strings: int = 512,
     **kwargs,
 ):
     """Pages -> (url, cluster_id): the transitive entity clusters.
 
-    ``cc_mode`` selects the clustering path ("auto" / "driver" /
-    "distributed" — see :func:`~..stages.cluster.connected_components`);
-    the default edge-count auto-switch is right for almost every run.
-    The other options are :func:`er_pairs`'."""
+    :func:`~..stages.cluster.connected_components` picks the clustering
+    path from the edge count; the options are :func:`er_pairs`'."""
     ck = checkpoints or CheckpointManager("", enabled=False)
     pairs = er_pairs(
         source,
@@ -317,12 +314,13 @@ def er_clusters(
     fp = _pairs_fingerprint(fingerprint, max_distance, algorithm,
                             emit_all_pairs, max_block_strings) + "|cc"
     # cc_stats is filled during compute() and lands in the stage manifest's
-    # counters (path chosen, contraction pass sizes, label rounds) — the
-    # per-stage metrics a resumed or audited run reads back.
+    # counters (path chosen, edge/node/cluster counts, contraction pass
+    # sizes, label rounds) — the per-stage metrics a resumed or audited
+    # run reads back.
     cc_stats: dict = {}
     return ck.run_stage(
         "clusters", fp,
-        lambda: connected_components(pairs, mode=cc_mode, stats=cc_stats),
+        lambda: connected_components(pairs, stats=cc_stats),
         counters=cc_stats,
     )
 

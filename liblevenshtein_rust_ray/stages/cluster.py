@@ -1,30 +1,27 @@
 """Transitive clustering over matched pairs (connected components).
 
-Two execution paths behind one API:
+:func:`connected_components` picks one of two execution paths from the
+edge count alone (there is no plan option):
 
-* ``driver`` — when the EDGE set is small (≤ ``driver_threshold`` edges,
-  default 32M: the all-Arrow union-find dictionary-encodes urls in C++,
-  so 32M edges ≈ ~2 GB of distinct url strings + 0.5 GB int edge arrays
-  + ~1 GB scipy COO ≈ 4-5 GB peak driver heap; measured 7.2M edges in
-  ~10 s), stream the edges to the driver.  Edges are the SCORER's output
-  — orders of magnitude smaller than the corpus — so this is the right
-  call for small-to-medium runs (the guide's "union-find on the driver
-  only if the candidate set is provably small").  Size it down for a
-  memory-thin driver; at 10^12-doc scale the edge set is billions of
-  rows and auto picks the distributed path regardless.
-* ``distributed`` — hash-partitioned min-label propagation with ONLY
-  C-path operations per round (no per-node Python):
-  bucketed pandas merge for message passing, built-in Min aggregate for the
-  combine, and a global label-signature sum for termination.  2 shuffles
-  per round, O(component diameter) rounds; the scorer's star edges keep
-  diameters tiny.
+* driver — when the EDGE set is small (≤ ``DRIVER_MAX_EDGES``, 32M: the
+  all-Arrow union-find dictionary-encodes urls in C++, so 32M edges ≈
+  ~2 GB of distinct url strings + 0.5 GB int edge arrays + ~1 GB scipy
+  COO ≈ 4-5 GB peak driver heap; measured 7.2M edges in ~10 s), stream
+  the edges to the driver.  Edges are the SCORER's output — orders of
+  magnitude smaller than the corpus — so this is the right call for
+  small-to-medium runs (the guide's "union-find on the driver only if
+  the candidate set is provably small").
+* distributed — hash-partitioned min-label propagation over int64 node
+  ids with ONLY C-path operations per round (no per-node Python): numpy
+  joins per bucket for message passing, a min-combine exchange, and a
+  global label-signature sum for termination.  2 shuffles per round,
+  O(log diameter) rounds with label-link shortcutting.
 
-``mode="auto"`` counts edges once (the pair Dataset is materialized anyway)
-and picks a path; above the threshold it first CONTRACTS the edge set —
-per-partition union-find replaces each partition's edges by its spanning
-star (a shuffle-free combiner, exact for connectivity), then alternating-
-key passes à la Kiveris et al. (SoCC'14) — and finishes on whichever path
-the contracted size selects.  All paths produce identical output:
+Above the threshold the edge set is first CONTRACTED — per-partition
+union-find replaces each partition's edges by its spanning star (a
+shuffle-free combiner, exact for connectivity), then alternating-key
+passes à la Kiveris et al. (SoCC'14) — and finishes on whichever path
+the contracted size selects.  Both paths produce identical output:
 ``(url, cluster_id)`` with cluster_id = lexicographically smallest member
 url — deterministic across runs, partitionings and paths.
 """
@@ -34,6 +31,9 @@ import logging
 import pandas as pd
 import pyarrow as pa
 
+# Edge count up to which components run on the driver (see the module
+# docstring for the memory sizing).
+DRIVER_MAX_EDGES = 32_000_000
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +164,7 @@ def _contract_table(t: pa.Table) -> pa.Table:
                      "url_b": uniq.take(pa.array(label[member]))})
 
 
-def _contract(pairs, driver_threshold: int, n_buckets: int,
-              stats: dict | None = None):
+def _contract(pairs, n_buckets: int, stats: dict | None = None):
     """Shrink the edge set by repeated star contraction until it fits the
     driver path (or stops improving).  Pass 0 is shuffle-free — pure
     ``map_batches`` per existing partition — and turns each partition's
@@ -195,7 +194,7 @@ def _contract(pairs, driver_threshold: int, n_buckets: int,
     # 7.2M star floor while a url_a pass removes ~1%.
     key = "url_b"
     max_passes = 4  # bounds exchanges; alternation halves chains per pass
-    while cnt > driver_threshold and max_passes > 0:
+    while cnt > DRIVER_MAX_EDGES and max_passes > 0:
         max_passes -= 1
         nxt = bucketed_apply_arrow(
             cur, key, _contract_table, n_buckets, empty_result=_EMPTY_EDGES
@@ -213,9 +212,9 @@ def _contract(pairs, driver_threshold: int, n_buckets: int,
 
 # ----------------------------------------------------------------------
 def _distributed_cc(pairs, max_rounds: int, n_buckets: int = 64,
-                    stats: dict | None = None,
-                    broadcast_idmap_bytes: int = 384 << 20):
-    """Min-label propagation over INT64 node ids.
+                    stats: dict | None = None):
+    """Min-label propagation over INT64 node ids: the distributed path of
+    :func:`connected_components` (call it directly to force that path).
 
     The label rounds move the full edge table twice per round; with url
     strings that was ~120 B/row (at 10^12 edges, ~30 TB of exchange per
@@ -223,10 +222,10 @@ def _distributed_cc(pairs, max_rounds: int, n_buckets: int = 64,
     payload ~7x (16 B/row) — the lever that matters on a real cluster,
     where rounds are network-bound — and turns the label groupby-min onto
     the int64 C path (init-labels exchange measured 8 s vs 37 s on 9.7M
-    string rows).  On THIS single node rounds are conversion-bound, not
-    byte-bound, so local wall is roughly a wash: the encode adds two
-    url-keyed join exchanges up front (~38 s at 4.86M edges) and the final
-    relabel adds two more, offset by the cheaper init/min-combines.
+    string rows).  The encode costs one url-keyed exchange (range-sampled
+    id assignment) and two thin all-int exchanges (endpoint ids joined on
+    128-bit url hashes, then endpoints paired up on an edge key); the
+    final relabel adds two int-keyed exchanges.
 
     Ids are ORDER-PRESERVING (url lex order) without a global sort:
     sampled range boundaries (driver sees ≤64k sample urls at any scale)
@@ -268,77 +267,6 @@ def _distributed_cc(pairs, max_rounds: int, n_buckets: int = 64,
         b = t.column("url_b").combine_chunks().cast(pa.string())
         u = pc.unique(pa.chunked_array([a, b]).combine_chunks())
         return pa.table({"url": u})
-
-    # ---- broadcast regime: when the node set fits the driver (the same
-    # pull the id-map broadcast needs anyway; pairs bytes bound it from
-    # above), skip the sample/assign exchanges AND the relabel exchanges:
-    # driver-side distinct+sort gives DENSE rank ids (0..n-1 in url lex
-    # order), the edge encode is one stateless index_in pass, and since
-    # min-label propagation converges to the component's MIN id — which
-    # under rank ids IS the min url — the final output is a stateless
-    # ``take`` of the broadcast url array.  sf2.0 measured: drops ~2.5 s
-    # of id-assignment and ~4.5 s of relabel exchanges.
-    #
-    # GUARD SIZING (measured, sf10): every encode task re-hashes the
-    # broadcast value set (pc.index_in builds per call) and holds its
-    # own ~100 B/url hash table, so cost is O(|V|) per task and memory
-    # is |V|-table × concurrent tasks.  At 4M urls (sf2.0) that is the
-    # fastest plan; at 19M urls it thrashed (221 s with builds capped
-    # at 64, 622 s uncapped) while the thin-row exchange plan below
-    # PARTITIONS the map (|V|/n_buckets per bucket).  The 384 MiB
-    # default keeps broadcast regimes in their sweet spot.
-    if pairs.size_bytes() <= 2 * broadcast_idmap_bytes:
-        import ray
-
-        nparts = [t for t in ray.get(list(
-            pairs.map_batches(to_nodes, batch_format="pyarrow")
-            .to_arrow_refs())) if t.num_rows]
-        allu = pc.unique(pa.chunked_array(
-            [t.column("url").combine_chunks() for t in nparts]
-        ).combine_chunks())
-        try:
-            import polars as pl
-
-            order = pl.from_arrow(allu).arg_sort().to_numpy().astype(
-                np.int64)
-        except ImportError:
-            order = pc.array_sort_indices(allu).to_numpy().astype(np.int64)
-        urls_sorted = allu.take(pa.array(order))
-        uref = ray.put(urls_sorted)
-        _t = _mark("driver_ids", _t)
-
-        def to_int_edges_dense(t: pa.Table) -> pa.Table:
-            u = ray.get(uref)   # zero-copy view of the local store
-            n = t.num_rows
-            both = pa.chunked_array([
-                t.column("url_a").combine_chunks().cast(pa.string()),
-                t.column("url_b").combine_chunks().cast(pa.string()),
-            ]).combine_chunks()
-            idx = pc.index_in(both, value_set=u).fill_null(-1).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            a, b = idx[:n], idx[n:]
-            ok = (a >= 0) & (b >= 0)  # every endpoint is a node by
-            ia, ib = a[ok], b[ok]     # construction; belt+braces
-            return pa.table({
-                "node": pa.array(np.concatenate([ia, ib]),
-                                 type=pa.int64()),
-                "neighbor": pa.array(np.concatenate([ib, ia]),
-                                     type=pa.int64()),
-            })
-
-        # every task re-hashes the broadcast value set (index_in builds
-        # per call, O(|V|)), so CAP THE TASK COUNT: at sf10 (19M urls,
-        # 164 input blocks) the uncapped map spent 622 s re-building a
-        # 19M-entry hash table per block; repartitioning the thin pairs
-        # first bounds it at n_buckets builds
-        src = (pairs.repartition(n_buckets)
-               if pairs.num_blocks() > n_buckets else pairs)
-        edges = (src.map_batches(to_int_edges_dense,
-                                 batch_format="pyarrow")
-                 .repartition(n_buckets).materialize())
-        _t = _mark("int_edges", _t)
-        return _cc_label_rounds(edges, None, max_rounds, n_buckets,
-                                stats, _mark, _t, idmap_ref=uref)
 
     # ---- 0b. ORDER-PRESERVING unique ids via sampled range partition ----
     # Min-label + link shortcutting is O(log diameter) only when id order
@@ -401,61 +329,6 @@ def _distributed_cc(pairs, max_rounds: int, n_buckets: int = 64,
         .materialize()
     )
     _t = _mark("assign_ids", _t)
-
-    # ---- 0c fast path: BROADCAST the url→id map while it fits --------
-    # The map is NODE-sized (distinct matched urls), usually far smaller
-    # than the edge set; under the byte guard it rides ray.put once and
-    # every task does a vectorized pd.Index hash lookup (built once per
-    # worker process) — the edge table never enters a string exchange at
-    # all.  Past the guard the thin-row exchange plan below takes over
-    # (same hybrid shape as neardup_canonicalize / the 1 GiB metadata
-    # transport cutover).  sf2.0 measured: 14.7 s exchange → ~2 s.
-    if ids.size_bytes() <= broadcast_idmap_bytes:
-        import ray
-
-        tabs = [t for t in ray.get(list(ids.to_arrow_refs()))
-                if t.num_rows]
-        idt = pa.concat_tables(tabs).combine_chunks()
-        # Arrow buffers ride ray.put zero-copy (no object-array pickle:
-        # a first cut shipped 4M Python strings and the DEserialization
-        # alone cost more than the exchange it replaced)
-        uref = ray.put(idt.column("url").combine_chunks())
-        iref = ray.put(np.ascontiguousarray(
-            idt.column("id").combine_chunks().to_numpy()))
-
-        def to_int_edges_bcast(t: pa.Table) -> pa.Table:
-            u = ray.get(uref)   # zero-copy view of the local store
-            iv = ray.get(iref)
-            n = t.num_rows
-            # ONE index_in over the concatenated endpoints: the call
-            # hashes the value set once per invocation, and that build
-            # — not the probes — is the task cost at 4M urls
-            both = pa.chunked_array([
-                t.column("url_a").combine_chunks().cast(pa.string()),
-                t.column("url_b").combine_chunks().cast(pa.string()),
-            ]).combine_chunks()
-            idx = pc.index_in(both, value_set=u).fill_null(-1).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            a, b = idx[:n], idx[n:]
-            ok = (a >= 0) & (b >= 0)  # every endpoint is a node by
-            ia, ib = iv[a[ok]], iv[b[ok]]  # construction; belt+braces
-            return pa.table({
-                "node": pa.array(np.concatenate([ia, ib]),
-                                 type=pa.int64()),
-                "neighbor": pa.array(np.concatenate([ib, ia]),
-                                     type=pa.int64()),
-            })
-
-        # cap the per-task value-set hash builds at n_buckets (see the
-        # dense branch note: uncapped, cost is O(|V|) per input block)
-        srcb = (pairs.repartition(n_buckets)
-                if pairs.num_blocks() > n_buckets else pairs)
-        edges = (srcb.map_batches(to_int_edges_bcast,
-                                  batch_format="pyarrow")
-                 .repartition(n_buckets).materialize())
-        _t = _mark("int_edges", _t)
-        return _cc_label_rounds(edges, ids, max_rounds, n_buckets,
-                                stats, _mark, _t)
 
     # ---- 0c. edges -> (id_a, id_b): ONE url-keyed exchange + one thin
     # all-int exchange (was two url-keyed exchanges; at sf2.0 this phase
@@ -631,30 +504,13 @@ def _distributed_cc(pairs, max_rounds: int, n_buckets: int = 64,
         empty_result=_EDGES_EMPTY,
     ).repartition(n_buckets).materialize()
     _t = _mark("int_edges", _t)
-    return _cc_label_rounds(edges, ids, max_rounds, n_buckets,
-                            stats, _mark, _t)
-
-
-def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
-                     idmap_ref=None):
-    """Phases 1-2 of :func:`_distributed_cc` (label rounds + relabel),
-    shared by the broadcast-idmap fast path and the exchange plan."""
-    import time as _time
-
-    import numpy as np
-    import pyarrow.compute as pc  # noqa: F401 (parity with caller env)
 
     # ---- 1. label rounds (all int64, ALL-ARROW — round-2 VERDICT task 4:
     # the loop's blocks stay pa.Table end to end; per-bucket work is numpy
     # over zero-copy int64 views, so the twice-per-round exchange ships
     # Arrow buffers instead of pickled pandas frames) ----------------------
-    import ray.data as rd
-
     _LBL = pa.table({"node": pa.array([], type=pa.int64()),
                      "label": pa.array([], type=pa.int64())})
-    _MSG = pa.table({"node": pa.array([], type=pa.int64()),
-                     "label": pa.array([], type=pa.int64()),
-                     "neighbor": pa.array([], type=pa.int64())})
 
     def _int_bucketed(ds, key_col: str, fn, empty: pa.Table):
         """One hash exchange on an int64 key, Arrow-native: bucket id is a
@@ -674,9 +530,6 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
                         batch_format="pyarrow")
         )
         return out.union(rd.from_arrow(empty))
-
-    def _col(t: pa.Table, name: str):
-        return t.column(name).combine_chunks().to_numpy(zero_copy_only=False)
 
     def _min_per_node(node, label) -> pa.Table:
         order = np.lexsort((label, node))
@@ -704,7 +557,7 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
                          "label": pa.array(ll, type=pa.int64())})
 
     def init_labels(t: pa.Table) -> pa.Table:
-        node, nbr = _col(t, "node"), _col(t, "neighbor")
+        node, nbr = _scol(t, "node"), _scol(t, "neighbor")
         return _min_per_node(node, np.minimum(node, nbr))
 
     # Block-count hygiene: the sort-based groupby exchange emits roughly one
@@ -765,12 +618,12 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
     # pre-bucket them ONCE, Arrow-native — the loop unions this table
     # verbatim every round with zero re-tagging.
     def tag_and_bucket_edges(t: pa.Table) -> pa.Table:
-        node = _col(t, "node")
+        node = _scol(t, "node")
         bucket = (node.astype(np.uint32) % np.uint32(n_buckets)).astype(np.int32)
         return pa.table({
             "node": pa.array(node, type=pa.int64()),
             "label": pa.array(np.full(t.num_rows, -1, dtype=np.int64)),
-            "neighbor": pa.array(_col(t, "neighbor"), type=pa.int64()),
+            "neighbor": pa.array(_scol(t, "neighbor"), type=pa.int64()),
             "__bucket": pa.array(bucket),
         })
 
@@ -794,7 +647,7 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
         with_links = _round > 0  # shallow graphs converge before links help
 
         def lab_and_links(t: pa.Table) -> pa.Table:
-            node, label = _col(t, "node"), _col(t, "label")
+            node, label = _scol(t, "node"), _scol(t, "label")
             neg = np.full(len(node), -1, dtype=np.int64)
             if not with_links:
                 n_, l_, nb = node, label, neg
@@ -813,9 +666,9 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
             })
 
         def bucket_messages(t: pa.Table) -> pa.Table:
-            node = _col(t, "node")
-            label = _col(t, "label")
-            nbr = _col(t, "neighbor")
+            node = _scol(t, "node")
+            label = _scol(t, "label")
+            nbr = _scol(t, "neighbor")
             is_lab = label >= 0
             ln, ll = node[is_lab], label[is_lab]
             order = np.argsort(ln, kind="stable")
@@ -842,7 +695,7 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
         labels = (
             _int_bucketed(
                 candidates, "node",
-                lambda t: _min_per_node(_col(t, "node"), _col(t, "label")),
+                lambda t: _min_per_node(_scol(t, "node"), _scol(t, "label")),
                 _LBL,
             )
             .repartition(n_buckets)  # see block-count hygiene note above
@@ -877,28 +730,8 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
             "rounds; components may be split", max_rounds)
 
     # ---- 2. ids back to urls + exact min-url labels ---------------------
-    # Dense-rank broadcast regime (idmap_ref set): ids are 0..n-1 in url
-    # lex order and min-label propagation converged each label to its
-    # component's MIN id == the min url, so the output is a stateless
-    # double ``take`` of the broadcast url array — zero relabel
-    # exchanges.
-    if idmap_ref is not None:
-        import ray
-
-        def relabel_take(t: pa.Table) -> pa.Table:
-            u = ray.get(idmap_ref)  # zero-copy local view
-            node = t.column("node").combine_chunks()
-            label = t.column("label").combine_chunks()
-            return pa.table({
-                "url": u.take(node).cast(pa.string()),
-                "cluster_id": u.take(label).cast(pa.string()),
-            })
-
-        return labels.map_batches(relabel_take, batch_format="pyarrow")
-
-    # Exchange plan: Arrow end-to-end — both relabel exchanges key on
-    # INT64 (node id / comp id), so they ride _int_bucketed's cheap
-    # uint32-mod bucketing;
+    # Arrow end-to-end — both relabel exchanges key on INT64 (node id /
+    # comp id), so they ride _int_bucketed's cheap uint32-mod bucketing;
     # per-bucket joins are numpy searchsorted over zero-copy views and
     # the min-url reduce is pyarrow's hash_min — no pandas frames cross
     # any exchange.
@@ -918,8 +751,8 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
         })
 
     def join_url_comp(t: pa.Table) -> pa.Table:
-        key = _col(t, "key")
-        comp = _col(t, "comp")
+        key = _scol(t, "key")
+        comp = _scol(t, "comp")
         is_lab = comp >= 0
         lk, lc = key[is_lab], comp[is_lab]
         order = np.argsort(lk, kind="stable")
@@ -953,7 +786,7 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
     # driver-path parity, independent of the arbitrary id order.
     def min_url_label(t: pa.Table) -> pa.Table:
         agg = t.group_by("comp").aggregate([("url", "min")])
-        comp = _col(t, "comp")
+        comp = _scol(t, "comp")
         ac = agg.column("comp").combine_chunks().to_numpy(
             zero_copy_only=False)
         order = np.argsort(ac, kind="stable")
@@ -975,8 +808,6 @@ def _cc_label_rounds(edges, ids, max_rounds, n_buckets, stats, _mark, _t,
 def connected_components(
     pairs,
     max_rounds: int = 30,
-    mode: str = "auto",
-    driver_threshold: int = 32_000_000,
     n_buckets: int = 64,
     stats: dict | None = None,
 ):
@@ -986,37 +817,42 @@ def connected_components(
     corpus).  The distributed path pointer-jumps, so ``max_rounds=30``
     covers diameters ~2^29.
 
-    ``auto`` over the threshold first CONTRACTS: per-partition union-find
-    replaces each partition's edges by its spanning star (shuffle-free
-    combine), alternating-key passes shrink the residual further, and the
-    contracted set goes to the driver if it now fits, else to the
-    distributed rounds (which then run over the smaller star set — fewer
-    bytes per exchange and star diameter ≤ 2 per merged region).
+    The path follows from the edge count: up to ``DRIVER_MAX_EDGES`` the
+    driver; above it the edge set is first CONTRACTED (per-partition
+    union-find replaces each partition's edges by its spanning star,
+    alternating-key passes shrink the residual further) and the contracted
+    set goes to the driver if it now fits, else to :func:`_distributed_cc`
+    (which then runs over the smaller star set — fewer bytes per exchange
+    and star diameter ≤ 2 per merged region).
 
-    ``stats`` receives the ``path`` taken and, when label rounds ran,
-    ``rounds`` and ``converged``: False if ``max_rounds`` ran out while
-    labels still changed, so components may be split (also logged as a
+    ``stats`` receives the ``path`` taken and the input ``edges``; the
+    driver path adds ``nodes`` and ``clusters``; label rounds add
+    ``rounds`` and ``converged`` (False if ``max_rounds`` ran out while
+    labels still changed, so components may be split — also logged as a
     warning)."""
+    import pyarrow.compute as pc
     import ray.data as rd
 
-    if mode in ("auto", "driver"):
-        # auto's count() (and driver's block fetch) consume the full edge
-        # plan; a LAZY input would then re-execute that plan for the path
-        # actually taken (count + fetch = 2x the upstream pipeline).  Pin
-        # the edge set once — count, contraction and the driver fetch all
-        # reuse the same blocks (spillable; count() forces full execution
-        # anyway, so this adds retention, not work).
-        pairs = pairs.materialize()
-    if mode == "driver" or (mode == "auto" and pairs.count() <= driver_threshold):
-        if stats is not None:
-            stats["path"] = "driver"
-        return rd.from_arrow(_driver_cc(pairs))
-    if mode == "auto":
-        pairs, n_edges = _contract(pairs, driver_threshold, n_buckets, stats)
-        if n_edges <= driver_threshold:
-            if stats is not None:
-                stats["path"] = "contract+driver"
-            return rd.from_arrow(_driver_cc(pairs))
+    # count() and the driver's block fetch both consume the edge plan; a
+    # LAZY input would re-execute it for the path actually taken.  Pin the
+    # edge set once — count, contraction and the driver fetch all reuse
+    # the same blocks (spillable; count() forces full execution anyway, so
+    # this adds retention, not work).
+    pairs = pairs.materialize()
+    n_edges = pairs.count()
     if stats is not None:
-        stats["path"] = ("contract+" if mode == "auto" else "") + "distributed"
-    return _distributed_cc(pairs, max_rounds, n_buckets=n_buckets, stats=stats)
+        stats["edges"] = n_edges
+    path = "driver"
+    if n_edges > DRIVER_MAX_EDGES:
+        pairs, n_contracted = _contract(pairs, n_buckets, stats)
+        path = "contract+driver"
+        if n_contracted > DRIVER_MAX_EDGES:
+            if stats is not None:
+                stats["path"] = "contract+distributed"
+            return _distributed_cc(pairs, max_rounds, n_buckets=n_buckets,
+                                   stats=stats)
+    out = _driver_cc(pairs)
+    if stats is not None:
+        stats.update(path=path, nodes=out.num_rows,
+                     clusters=pc.count_distinct(out["cluster_id"]).as_py())
+    return rd.from_arrow(out)

@@ -734,6 +734,18 @@ def simhash_pairs(ds, text_col: str, id_col: str, max_hamming: int = 3,
 
 
 # ----------------------------------------------------------------------
+def _list_offsets(counts) -> pa.Array:
+    """int32 ``list<...>`` offsets for lists of ``counts`` elements each,
+    summed in int64; raises ``ValueError`` instead of wrapping when the
+    total passes int32 (a ``list<string>`` column's offset limit)."""
+    offs = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, dtype=np.int64, out=offs[1:])
+    if offs[-1] > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"{int(offs[-1])} list elements overflow int32 list offsets")
+    return pa.array(offs.astype(np.int32), type=pa.int32())
+
+
 def ngram_jaccard_pairs(ds, text_col: str, id_col: str, threshold: float = 0.5,
                         k: int = 3, max_df: int | None = 1024):
     """EXACT token-k-shingle Jaccard pairs via a distributed inverted-index
@@ -798,9 +810,7 @@ def ngram_jaccard_pairs(ds, text_col: str, id_col: str, threshold: float = 0.5,
         per_doc = np.bincount(d, minlength=n_docs)
         nonempty = np.flatnonzero(per_doc > 0)
         flat = uniq.take(pa.array(c_sorted_code)).cast(pa.string())
-        loffs = np.zeros(len(nonempty) + 1, dtype=np.int32)
-        loffs[1:] = np.cumsum(per_doc[nonempty])
-        lists = pa.ListArray.from_arrays(pa.array(loffs, type=pa.int32()),
+        lists = pa.ListArray.from_arrays(_list_offsets(per_doc[nonempty]),
                                          flat)
         joined = pc.binary_join(lists, "\x00").to_pylist()
         out_h = np.fromiter((hash64(s) for s in joined),

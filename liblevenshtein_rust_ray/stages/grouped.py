@@ -116,14 +116,20 @@ def hash_buckets(tbl, key_cols, n_buckets: int):
     DICTIONARY is hashed (distinct values only — pandas siphash for
     cross-process determinism) and the code ``take``n per row; multi-column
     keys combine per-column hashes with a polynomial mix.  The bucketed
-    exchange and ``er_pairs``' local plan cut rows by this one function."""
+    exchange and ``er_pairs``' local plan cut rows by this one function.
+    Strings are hashed as UTF-8 bytes: pandas hashes a str only up to its
+    first NUL (bytes hash in full, to the same value when there is none)."""
+    import pyarrow as pa
     import pyarrow.compute as pc
 
     acc = np.zeros(tbl.num_rows, dtype=np.uint32)
     for c in key_cols:
         d = pc.dictionary_encode(tbl[c].combine_chunks())
+        vals = d.dictionary
+        if pa.types.is_string(vals.type) or pa.types.is_large_string(vals.type):
+            vals = vals.cast(pa.large_binary())
         hd = (
-            pd.util.hash_pandas_object(d.dictionary.to_pandas(), index=False)
+            pd.util.hash_pandas_object(vals.to_pandas(), index=False)
             .to_numpy()
             .astype(np.uint32)
         )

@@ -78,6 +78,18 @@ def test_ngram_jaccard_exact(ray_session):
     assert got == want and (0, 3) in got and got[(0, 3)] == 1.0
 
 
+def test_ngram_jaccard_list_offsets_overflow_raises():
+    """Shingle-list offsets are summed in int64 and refuse to wrap at the
+    int32 limit of a ``list<string>`` column."""
+    from liblevenshtein_rust_ray.stages.dedup import _list_offsets
+
+    fits = _list_offsets(np.array([2**30, 2**30 - 1, 0]))
+    assert fits.type == pa.int32()
+    assert fits.to_pylist() == [0, 2**30, 2**31 - 1, 2**31 - 1]
+    with pytest.raises(ValueError, match="overflow"):
+        _list_offsets(np.array([2**30, 2**30]))
+
+
 # ----------------------------------------------------------------------
 def _clustered_vectors(n_clusters=20, per=5, dim=32, noise=0.05, seed=3):
     rng = np.random.default_rng(seed)

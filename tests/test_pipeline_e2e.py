@@ -66,8 +66,12 @@ def test_checkpoint_resume(tmp_path, corpus):
 
     assert os.path.exists(os.path.join(run_dir, "pairs.manifest.json"))
     assert os.path.exists(os.path.join(run_dir, "clusters.manifest.json"))
-    # the clusters manifest records which CC path ran (per-stage metrics)
-    assert ck.manifest("clusters")["counters"]["path"] == "driver"
+    # the clusters manifest records which CC path ran and what it counted
+    cc_counters = ck.manifest("clusters")["counters"]
+    assert cc_counters["path"] == "driver"
+    assert cc_counters["edges"] == ck.manifest("pairs")["rows"]
+    assert cc_counters["nodes"] == len(first_df)
+    assert cc_counters["clusters"] == first_df["cluster_id"].nunique() > 0
     # ... and which er_pairs plan ran, with its row counts
     pairs_counters = ck.manifest("pairs")["counters"]
     assert pairs_counters["plan"] == "local"

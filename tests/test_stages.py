@@ -130,11 +130,12 @@ def test_scorer_empty_and_single():
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("mode", ["driver", "distributed"])
-def test_connected_components(mode):
+@pytest.mark.parametrize("path", ["driver", "distributed"])
+def test_connected_components(path):
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import connected_components
+    from liblevenshtein_rust_ray.stages.cluster import (
+        _distributed_cc, connected_components)
 
     pairs = rd.from_items(
         [
@@ -143,7 +144,10 @@ def test_connected_components(mode):
             {"url_a": "x", "url_b": "y", "distance": 0},
         ]
     )
-    out = connected_components(pairs, mode=mode, n_buckets=4).to_pandas()
+    if path == "driver":
+        out = connected_components(pairs).to_pandas()
+    else:
+        out = _distributed_cc(pairs, max_rounds=30, n_buckets=4).to_pandas()
     lab = dict(zip(out["url"], out["cluster_id"]))
     assert lab["a"] == lab["b"] == lab["c"] == "a"
     assert lab["x"] == lab["y"] == "x"
@@ -156,7 +160,8 @@ def test_connected_components_modes_agree():
 
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import connected_components
+    from liblevenshtein_rust_ray.stages.cluster import (
+        _distributed_cc, connected_components)
 
     rng = random.Random(3)
     # random chain/star mixture over 120 nodes
@@ -169,8 +174,8 @@ def test_connected_components_modes_agree():
     # multi-block input (the point of the test) without from_items'
     # row-per-block task overhead
     pairs = rd.from_pandas(pd.DataFrame(edges)).repartition(7)
-    a = connected_components(pairs, mode="driver").to_pandas().sort_values("url").reset_index(drop=True)
-    b = connected_components(pairs, mode="distributed", n_buckets=4).to_pandas().sort_values("url").reset_index(drop=True)
+    a = connected_components(pairs).to_pandas().sort_values("url").reset_index(drop=True)
+    b = _distributed_cc(pairs, max_rounds=30, n_buckets=4).to_pandas().sort_values("url").reset_index(drop=True)
     assert a.equals(b)
 
 
@@ -194,15 +199,16 @@ def test_contract_table_stars():
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("threshold", [1, 30])
-def test_connected_components_auto_contraction_parity(threshold):
-    """auto above the driver threshold contracts first; the result must be
-    identical to the pure driver path whether the contracted set then fits
-    the driver (threshold=30) or falls through to the distributed rounds
-    (threshold=1)."""
+def test_connected_components_auto_contraction_parity(threshold, monkeypatch):
+    """Above DRIVER_MAX_EDGES the edge set is contracted first; the result
+    must be identical to the pure driver path whether the contracted set
+    then fits the driver (threshold=30) or falls through to the
+    distributed rounds (threshold=1)."""
     import random
 
     import ray.data as rd
 
+    from liblevenshtein_rust_ray.stages import cluster
     from liblevenshtein_rust_ray.stages.cluster import connected_components
 
     rng = random.Random(11)
@@ -218,17 +224,18 @@ def test_connected_components_auto_contraction_parity(threshold):
         edges.append({"url_a": f"r{a:03d}", "url_b": f"r{b:03d}"})
     # many small blocks so contraction crosses partition boundaries
     pairs = rd.from_pandas(pd.DataFrame(edges)).repartition(13)
-    stats: dict = {}
-    got = (
-        connected_components(pairs, mode="auto", driver_threshold=threshold,
-                             n_buckets=4, stats=stats)
+    want = (
+        connected_components(pairs)
         .to_pandas().sort_values("url").reset_index(drop=True)
     )
-    want = (
-        connected_components(pairs, mode="driver")
+    monkeypatch.setattr(cluster, "DRIVER_MAX_EDGES", threshold)
+    stats: dict = {}
+    got = (
+        connected_components(pairs, n_buckets=4, stats=stats)
         .to_pandas().sort_values("url").reset_index(drop=True)
     )
     assert got.equals(want)
+    assert stats["path"].startswith("contract+"), stats
     assert stats.get("contract_passes", 0) >= 1
     # contraction must not grow the edge set
     assert stats["contract_edges"][0] <= len(edges)
@@ -351,7 +358,7 @@ def test_distributed_cc_label_link_shortcut_chain():
     8 rounds and match the driver union-find exactly."""
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import connected_components
+    from liblevenshtein_rust_ray.stages.cluster import _distributed_cc
 
     n = 16
     edges = [
@@ -361,8 +368,7 @@ def test_distributed_cc_label_link_shortcut_chain():
     pairs = rd.from_items(edges)
     stats = {}
     got = (
-        connected_components(pairs, mode="distributed", n_buckets=4,
-                             max_rounds=8, stats=stats)
+        _distributed_cc(pairs, max_rounds=8, n_buckets=4, stats=stats)
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)
@@ -386,7 +392,8 @@ def test_distributed_cc_multiblock_termination():
     ~27 rounds instead of 6)."""
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import connected_components
+    from liblevenshtein_rust_ray.stages.cluster import (
+        _distributed_cc, connected_components)
 
     rows_a, rows_b = [], []
     for c in range(8):
@@ -397,13 +404,13 @@ def test_distributed_cc_multiblock_termination():
         pd.DataFrame({"url_a": rows_a, "url_b": rows_b, "distance": 1})
     )
     stats = {}
-    got = connected_components(
-        pairs, mode="distributed", n_buckets=8, stats=stats
+    got = _distributed_cc(
+        pairs, max_rounds=30, n_buckets=8, stats=stats
     ).to_pandas()
     assert got["cluster_id"].nunique() == 8
     assert stats["rounds"] <= 8, stats
     # exact parity with the driver path (min-url labels)
-    drv = connected_components(pairs, mode="driver").to_pandas()
+    drv = connected_components(pairs).to_pandas()
     a = got.sort_values("url").reset_index(drop=True)
     b = drv.sort_values("url").reset_index(drop=True)
     assert a.equals(b)
@@ -416,22 +423,52 @@ def test_distributed_cc_reports_convergence(caplog):
     under the default ``max_rounds``."""
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import connected_components
+    from liblevenshtein_rust_ray.stages.cluster import _distributed_cc
 
     pairs = rd.from_items([
         {"url_a": f"n{i:04d}", "url_b": f"n{i + 1:04d}", "distance": 1}
         for i in range(31)
     ])
     cut = {}
-    connected_components(pairs, mode="distributed", n_buckets=4, max_rounds=1,
-                         stats=cut).materialize()
+    _distributed_cc(pairs, max_rounds=1, n_buckets=4,
+                    stats=cut).materialize()
     assert cut["converged"] is False and cut["rounds"] == 1, cut
     assert "did not converge" in caplog.text
     full = {}
-    got = connected_components(pairs, mode="distributed", n_buckets=4,
-                               stats=full).to_pandas()
+    got = _distributed_cc(pairs, max_rounds=30, n_buckets=4,
+                          stats=full).to_pandas()
     assert full["converged"] is True, full
     assert (got["cluster_id"] == "n0000").all()
+
+
+def test_hash_buckets_keeps_nul_suffixed_keys_apart():
+    """pandas hashes a str only up to its first NUL; keys are hashed as
+    bytes, so "x" and "x\\x00y" get different bucket ids."""
+    from liblevenshtein_rust_ray.stages.grouped import hash_buckets
+
+    got = hash_buckets(pa.table({"k": ["x", "x\x00y"]}), ["k"], 2**31 - 1)
+    assert got[0] != got[1], got
+
+
+def test_hash_buckets_pinned():
+    """Bucket ids of NUL-free keys are unchanged by hashing strings as
+    bytes (pinned values from the str-hashing version), so ``er_pairs``'
+    chunks and exchange buckets are too."""
+    from liblevenshtein_rust_ray.stages.grouped import hash_buckets
+
+    keys = ["", "a", "ab", "host.example|acme widget", "Zürich", "東京",
+            "x" * 300, "https://a.example/p/001", "https://a.example/p/002",
+            "t\tab", "a"]
+    t = pa.table({"k": keys, "j": [str(i) for i in range(len(keys))],
+                  "n": list(range(len(keys)))})
+    assert hash_buckets(t, ["k"], 256).tolist() == [
+        70, 208, 35, 186, 222, 158, 100, 148, 165, 42, 208]
+    assert hash_buckets(t, ["k", "j"], 64).tolist() == [
+        16, 54, 63, 7, 18, 21, 3, 60, 53, 41, 48]
+    assert hash_buckets(t, ["n"], 7).tolist() == [0, 0, 5, 2, 3, 3, 6, 3, 1, 3, 4]
+    large = t.set_column(0, "k", t["k"].cast(pa.large_string()))
+    assert (hash_buckets(large, ["k"], 256).tolist()
+            == hash_buckets(t, ["k"], 256).tolist())
 
 
 def test_empty_arrow_matches_edge_schema():
@@ -729,9 +766,9 @@ def test_popcount_u64_matches_python():
 
 @pytest.mark.usefixtures("ray_session")
 def test_distributed_cc_exchange_plan_parity():
-    """Force the thin-row exchange plan (broadcast_idmap_bytes=0): the
-    128-bit edge-key pair-up must reproduce the driver path exactly,
-    including duplicate edges and multi-block inputs."""
+    """The distributed path's 128-bit edge-key pair-up must reproduce the
+    driver path exactly, including duplicate edges and multi-block
+    inputs."""
     import random
 
     import ray.data as rd
@@ -749,39 +786,10 @@ def test_distributed_cc_exchange_plan_parity():
                               "distance": 1})
     edges.append(edges[0])  # duplicate edge
     pairs = rd.from_pandas(pd.DataFrame(edges)).repartition(6)
-    a = (connected_components(pairs, mode="driver").to_pandas()
+    a = (connected_components(pairs).to_pandas()
          .sort_values("url").reset_index(drop=True))
-    b = (_distributed_cc(pairs, max_rounds=30, n_buckets=4,
-                         broadcast_idmap_bytes=0).to_pandas()
+    b = (_distributed_cc(pairs, max_rounds=30, n_buckets=4).to_pandas()
          .sort_values("url").reset_index(drop=True))
-    assert a.equals(b)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_distributed_cc_idmap_branch_parity():
-    """Pin the middle branch (edge table too big for the dense-rank
-    regime, id map still broadcastable): duplicate-heavy edges let a
-    byte guard sit between ids and pairs sizes."""
-    import ray.data as rd
-
-    from liblevenshtein_rust_ray.stages.cluster import (
-        _distributed_cc, connected_components)
-
-    edges = []
-    for i in range(0, 60, 3):
-        for _ in range(40):  # heavy duplication: |pairs bytes| >> |ids|
-            edges.append({"url_a": f"p{i:02d}", "url_b": f"p{i + 1:02d}",
-                          "distance": 1})
-            edges.append({"url_a": f"p{i + 1:02d}", "url_b": f"p{i + 2:02d}",
-                          "distance": 1})
-    pairs = rd.from_pandas(pd.DataFrame(edges)).repartition(5).materialize()
-    ids_bytes_ceiling = pairs.size_bytes() // 2 - 1  # pairs > 2*B
-    assert ids_bytes_ceiling > 2_000  # sanity: B still fits the tiny map
-    a = (connected_components(pairs, mode="driver").to_pandas()
-         .sort_values("url").reset_index(drop=True))
-    b = (_distributed_cc(pairs, max_rounds=30, n_buckets=4,
-                         broadcast_idmap_bytes=ids_bytes_ceiling)
-         .to_pandas().sort_values("url").reset_index(drop=True))
     assert a.equals(b)
 
 
@@ -794,7 +802,7 @@ def test_distributed_cc_idmap_branch_parity():
 ])
 def test_distributed_cc_nul_urls_do_not_share_edge_keys(edges):
     """Two edges whose ``url_a + NUL + url_b`` strings coincide are still
-    two edges: every plan keeps their true components apart."""
+    two edges: both paths keep their true components apart."""
     import ray.data as rd
 
     from liblevenshtein_rust_ray.stages.cluster import (
@@ -804,10 +812,8 @@ def test_distributed_cc_nul_urls_do_not_share_edge_keys(edges):
         {"url_a": [a for a, _ in edges], "url_b": [b for _, b in edges],
          "distance": [1] * len(edges)}))
     want = {u: min(a, b) for a, b in edges for u in (a, b)}
-    plans = [connected_components(pairs, mode="driver"),
-             connected_components(pairs, mode="distributed", n_buckets=4),
-             _distributed_cc(pairs, max_rounds=30, n_buckets=4,
-                             broadcast_idmap_bytes=0)]
+    plans = [connected_components(pairs),
+             _distributed_cc(pairs, max_rounds=30, n_buckets=4)]
     for out in plans:
         df = out.to_pandas()
         assert dict(zip(df["url"], df["cluster_id"])) == want

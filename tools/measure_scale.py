@@ -2,12 +2,13 @@
 """Large-SF measurement protocol (the numbers in BASELINE.md's
 "Larger-scale datapoint" sections).
 
-Usage: python tools/measure_scale.py SF [--cc-mode auto|driver|distributed]
-       [--corpus-dir DIR] [--keep]
+Usage: python tools/measure_scale.py SF [--distributed] [--corpus-dir DIR]
 
 Generates (or reuses) the deterministic synthetic corpus at
 ``/tmp/corpus_sf{SF}``, times er_pairs and clustering separately, and
 prints one JSON line.  Corpus generation is excluded from the timings.
+Clustering runs ``connected_components`` (which picks its own path), or
+with ``--distributed`` its distributed path ``_distributed_cc`` directly.
 """
 
 import argparse
@@ -23,8 +24,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("sf", type=float)
-    ap.add_argument("--cc-mode", default="auto",
-                    choices=["auto", "driver", "distributed"])
+    ap.add_argument("--distributed", action="store_true",
+                    help="cluster with _distributed_cc directly")
     ap.add_argument("--corpus-dir", default=None)
     ap.add_argument("--num-cpus", type=int,
                     default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
@@ -50,7 +51,8 @@ def main() -> None:
 
     configure_data_context()
     from liblevenshtein_rust_ray.pipelines.entity_resolution import er_pairs
-    from liblevenshtein_rust_ray.stages.cluster import connected_components
+    from liblevenshtein_rust_ray.stages.cluster import (
+        _distributed_cc, connected_components)
 
     pages = rd.read_parquet(f"{corpus}/pages")
     n_pages = pages.count()
@@ -61,9 +63,11 @@ def main() -> None:
 
     cc_stats: dict = {}
     t0 = time.time()
-    clusters = connected_components(
-        pairs, mode=args.cc_mode, stats=cc_stats
-    ).materialize()
+    if args.distributed:
+        clusters = _distributed_cc(pairs, max_rounds=30, stats=cc_stats)
+    else:
+        clusters = connected_components(pairs, stats=cc_stats)
+    clusters = clusters.materialize()
     cc_s = round(time.time() - t0, 1)
     n_urls = clusters.count()
     ray.shutdown()
@@ -71,7 +75,7 @@ def main() -> None:
     print(json.dumps({
         "sf": args.sf, "num_cpus": args.num_cpus, "pages": n_pages,
         "corpus_gen_sec": gen_s, "pairs_sec": pairs_s,
-        "candidate_pairs": n_pairs, "cc_mode": args.cc_mode,
+        "candidate_pairs": n_pairs, "distributed": args.distributed,
         "cc_sec": cc_s, "clustered_urls": n_urls,
         "cc_stats": {k: v for k, v in cc_stats.items()},
         "pages_per_sec": round(n_pages / (pairs_s + cc_s), 1),
