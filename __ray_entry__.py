@@ -513,8 +513,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         keys): the ENTIRE LSH pipeline — shingle, sign, band, bucket,
         star-collapse, signature-estimate verify — checked against a SQL
         oracle built from the same constants.  max_bucket is uncapped in
-        this mode (salting is the one step the oracle doesn't model; it
-        never engages at driver scales)."""
+        this mode: the LSH's oversized-bucket salting (stages/dedup.py,
+        not the ER scorer, which no longer salts) is the one step the
+        oracle doesn't model, and it never engages at driver scales."""
         return D.minhash_lsh_pairs(
             _rd(sf_dir, "documents", ["doc_id", "text"]), "text", "doc_id",
             threshold=0.5, hasher="md5", max_bucket=1_000_000,
@@ -930,8 +931,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import pandas as pd
 
         out = er_pairs(os.path.join(_corpus_dir(0.001), "pages"),
-                       emit_all_pairs=True, max_block_strings=1_000_000,
-                       algorithm="transposition")
+                       emit_all_pairs=True, algorithm="transposition")
 
         def fin(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -957,10 +957,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         old = _docs_as_pages(sf_dir, keep="old")
         new = _docs_as_pages(sf_dir, keep="new")
-        base = er_pairs(old, emit_all_pairs=True, max_block_strings=1_000_000)
+        base = er_pairs(old, emit_all_pairs=True)
         out = er_pairs_incremental(old, new, base_pairs=base,
-                                   emit_all_pairs=True,
-                                   max_block_strings=1_000_000)
+                                   emit_all_pairs=True)
 
         def fin(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -991,10 +990,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             )
             for u in t.column("url").to_pylist()
         ]
-        base = er_pairs(full, emit_all_pairs=True, max_block_strings=1_000_000)
+        base = er_pairs(full, emit_all_pairs=True)
         out = er_pairs_decremental(full, removed, base_pairs=base,
-                                   emit_all_pairs=True,
-                                   max_block_strings=1_000_000)
+                                   emit_all_pairs=True)
 
         def fin(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -1490,7 +1488,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import pandas as pd
 
         out = er_pairs(os.path.join(_corpus_dir(0.001), "pages"),
-                       emit_all_pairs=True, max_block_strings=1_000_000)
+                       emit_all_pairs=True)
 
         def fin(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -1534,7 +1532,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             })
 
         out = er_pairs(dedup.map_batches(as_pages, batch_format="pyarrow"),
-                       emit_all_pairs=True, max_block_strings=1_000_000)
+                       emit_all_pairs=True)
 
         def fin(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -1553,8 +1551,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (identical title, or same host + a common title token)."""
         import pandas as pd
 
-        out = er_pairs(_docs_as_pages(sf_dir), emit_all_pairs=True,
-                       max_block_strings=1_000_000)
+        out = er_pairs(_docs_as_pages(sf_dir), emit_all_pairs=True)
 
         def fin(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -1578,7 +1575,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         the min-url canonical-edge convention of stages/scorer.py:1-30."""
         import pandas as pd
 
-        out = er_pairs(_docs_as_pages(sf_dir), max_block_strings=1_000_000)
+        out = er_pairs(_docs_as_pages(sf_dir))
 
         def fin(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -1596,7 +1593,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import pandas as pd
 
         out = er_pairs(_docs_as_pages(sf_dir), emit_all_pairs=True,
-                       max_block_strings=1_000_000,
                        algorithm="transposition", max_distance=1)
 
         def fin(df: pd.DataFrame) -> pd.DataFrame:
@@ -1614,7 +1610,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import pandas as pd
 
         out = er_pairs(_docs_as_pages(sf_dir), emit_all_pairs=True,
-                       max_block_strings=1_000_000, algorithm="transposition")
+                       algorithm="transposition")
 
         def fin(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -1630,8 +1626,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         min member url (stages/cluster.py), which a DuckDB recursive-CTE
         label propagation over the identical edge set reproduces
         exactly."""
-        return er_clusters(_docs_as_pages(sf_dir), emit_all_pairs=True,
-                           max_block_strings=1_000_000)
+        return er_clusters(_docs_as_pages(sf_dir), emit_all_pairs=True)
 
     def multimodal_stub(sf_dir):
         import ray.data as rd

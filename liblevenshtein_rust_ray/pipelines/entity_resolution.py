@@ -12,11 +12,12 @@ Dataflow (Arrow batches)::
       -> connected_components           -> (url, cluster_id)
 
 ``er_pairs`` runs it as a ``local`` plan (one driver process, pages
-streamed, key table scored in pair-budgeted chunks cut by the exchange's
-bucket hash, no exchange) or a ``distributed`` one (Ray Data map stages,
-an exchange on ``block_key``, another on ``(url_a, url_b)`` for the
-dedup).  Every stage can checkpoint per-partition parquet + manifest via
-``CheckpointManager`` and resumes by fingerprint.
+streamed, the key table scored as one bucket, no exchange) or a
+``distributed`` one (Ray Data map stages, an exchange on ``block_key``,
+another on ``(url_a, url_b)`` for the dedup).  On either plan the scorer
+bounds its own pair memory (length-banded candidate tiles,
+``stages/scorer.py``).  Every stage can checkpoint per-partition parquet +
+manifest via ``CheckpointManager`` and resumes by fingerprint.
 """
 
 import os
@@ -30,7 +31,7 @@ from ..kernel import STANDARD
 from ..stages.blocking import blocking_keys_batch
 from ..stages.extract import extract_batch, EXTRACTOR_VERSION
 from ..stages.cluster import connected_components
-from ..stages.grouped import bucketed_apply_arrow, hash_buckets
+from ..stages.grouped import bucketed_apply_arrow
 from ..stages.scorer import (
     EDGE_COLUMNS, _edges_schema, _empty_edges_arrow,
     score_bucket_all_pairs_arrow, score_bucket_vectorized_arrow,
@@ -42,10 +43,6 @@ from ..state.checkpoint import CheckpointManager
 # is also the driver-memory cap).  See _local_max_pages.
 LOCAL_SPEEDUPS = ((2_006, 19.6), (5_116, 12.2), (10_360, 10.9),
                   (41_987, 9.0), (104_526, 4.1), (200_000, 2.5))
-# Candidate title pairs per local-plan chunk.  er_dense (7.1M pairs), one
-# chunk: 2.4 s, 1346 MB peak RSS; 1M: 2.9 s, 383 MB; 250k: 2.1 s, 268 MB;
-# 100k: 1.8-2.0 s, 221-233 MB; 25k: 3.0 s (per-chunk overhead wins).
-LOCAL_PAIR_BUDGET = 100_000
 LOCAL_READ_ROWS = 16_384
 
 
@@ -157,30 +154,18 @@ def _cluster_cpus() -> float:
 
 def _local_pairs(source, stats: dict, **score_kwargs):
     """The local plan: the distributed plan's stage functions in one
-    process.  Blocks never straddle chunks (chunks are hash buckets of
-    ``block_key``, as in the exchange), so the edges are the same."""
+    process, the whole key table scored as one bucket (which also
+    min-dedups its url pairs).  The scorer's edges do not depend on how
+    blocks are bucketed, so they are the distributed plan's."""
     pages, parts = 0, []
     for t in _page_batches(source):
         pages += t.num_rows
         parts.append(blocking_keys_batch(extract_batch(t)))
     keys = pa.concat_tables(parts) if parts else pa.schema(
         [(c, pa.string()) for c in ("block_key", "url", "key_string")]).empty_table()
-    # chunk count from the candidate pairs: distinct titles per block, k(k-1)/2
-    k = (keys.group_by(["block_key", "key_string"], use_threads=False).aggregate([])
-         .group_by("block_key", use_threads=False).aggregate([("key_string", "count")])
-         ["key_string_count"].to_numpy())
-    n_chunks = max(1, -(-int((k * (k - 1) // 2).sum()) // LOCAL_PAIR_BUDGET))
-    chunk = hash_buckets(keys, ["block_key"], n_chunks)
-    order = np.argsort(chunk, kind="stable")
-    bounds = np.searchsorted(chunk[order], np.arange(n_chunks + 1))
-    keys_by_chunk = keys.take(pa.array(order))
-    scored = [
-        score_bucket_vectorized_arrow(keys_by_chunk.slice(lo, hi - lo), **score_kwargs)
-        for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
-    edges = _min_dedup(pa.concat_tables(scored)) if scored else _empty_edges_arrow()
+    edges = score_bucket_vectorized_arrow(keys, **score_kwargs)
     stats.update(plan="local", pages=pages, key_rows=keys.num_rows,
-                 chunks=n_chunks, edges=edges.num_rows)
+                 edges=edges.num_rows)
     return edges
 
 
@@ -195,12 +180,13 @@ def _scorer(emit_all_pairs: bool):
     return score_bucket_all_pairs_arrow if emit_all_pairs else score_bucket_vectorized_arrow
 
 
-def _pairs_fingerprint(fingerprint, max_distance, algorithm, emit_all_pairs,
-                       max_block_strings) -> str:
+def _pairs_fingerprint(fingerprint, max_distance, algorithm, emit_all_pairs) -> str:
     """Every input that changes the edge set, so a checkpoint is never
-    re-served to a call that would compute different edges."""
+    re-served to a call that would compute different edges.  Fingerprints
+    that end in ``|cap<N>`` were written by the salting scorer, whose
+    edges missed pairs; they never equal these, so they recompute."""
     return (f"{fingerprint}|x{EXTRACTOR_VERSION}|d{max_distance}|{algorithm}"
-            f"|all{int(emit_all_pairs)}|cap{max_block_strings}")
+            f"|all{int(emit_all_pairs)}")
 
 
 def er_pairs(
@@ -210,7 +196,6 @@ def er_pairs(
     emit_all_pairs: bool = False,
     checkpoints: CheckpointManager | None = None,
     fingerprint: str = "",
-    max_block_strings: int = 512,
     n_buckets: int | None = None,
     stats: dict | None = None,
 ):
@@ -242,15 +227,13 @@ def er_pairs(
     distributed plan a perfect speedup in CPUs: 200k pages on 1-2 CPUs,
     105k on 4, none from 20.
 
-    ``stats`` receives ``plan``, ``pages`` (None if unknown) and
-    ``chunks`` or ``n_buckets``; the local plan adds ``key_rows`` and
+    ``stats`` receives ``plan`` and ``pages`` (None if unknown); the
+    distributed plan adds ``n_buckets``, the local plan ``key_rows`` and
     ``edges``.  It is the pairs stage's checkpoint ``counters``."""
     ck = checkpoints or CheckpointManager("", enabled=False)
-    fp = _pairs_fingerprint(fingerprint, max_distance, algorithm,
-                            emit_all_pairs, max_block_strings)
+    fp = _pairs_fingerprint(fingerprint, max_distance, algorithm, emit_all_pairs)
     stats = {} if stats is None else stats
-    score_kw = dict(max_distance=max_distance, algorithm=algorithm,
-                    max_block_strings=max_block_strings)
+    score_kw = dict(max_distance=max_distance, algorithm=algorithm)
     scorer = _scorer(emit_all_pairs)
 
     def compute():
@@ -293,7 +276,6 @@ def er_clusters(
     checkpoints: CheckpointManager | None = None,
     fingerprint: str = "",
     emit_all_pairs: bool = False,
-    max_block_strings: int = 512,
     **kwargs,
 ):
     """Pages -> (url, cluster_id): the transitive entity clusters.
@@ -308,11 +290,9 @@ def er_clusters(
         checkpoints=checkpoints,
         fingerprint=fingerprint,
         emit_all_pairs=emit_all_pairs,
-        max_block_strings=max_block_strings,
         **kwargs,
     )
-    fp = _pairs_fingerprint(fingerprint, max_distance, algorithm,
-                            emit_all_pairs, max_block_strings) + "|cc"
+    fp = _pairs_fingerprint(fingerprint, max_distance, algorithm, emit_all_pairs) + "|cc"
     # cc_stats is filled during compute() and lands in the stage manifest's
     # counters (path chosen, edge/node/cluster counts, contraction pass
     # sizes, label rounds) — the per-stage metrics a resumed or audited
@@ -384,7 +364,6 @@ def er_pairs_incremental(
     max_distance: int = 2,
     algorithm: str = STANDARD,
     emit_all_pairs: bool = False,
-    max_block_strings: int = 512,
 ):
     """Incremental update — the reference's dynamic-dictionary capability
     (DynamicDawg insert/remove, /root/reference/src/dictionary/dynamic_dawg.rs)
@@ -418,8 +397,7 @@ def er_pairs_incremental(
 
     keys = flagged(old_source, False).union(flagged(new_source, True))
     return _rescore_blocks(keys, base_pairs, None, emit_all_pairs, dict(
-        max_distance=max_distance, algorithm=algorithm,
-        max_block_strings=max_block_strings))
+        max_distance=max_distance, algorithm=algorithm))
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +408,6 @@ def er_pairs_decremental(
     max_distance: int = 2,
     algorithm: str = STANDARD,
     emit_all_pairs: bool = False,
-    max_block_strings: int = 512,
 ):
     """Decremental update — the remove half of the reference's dynamic
     dictionary (DynamicDawg remove, /root/reference/src/dictionary/
@@ -466,8 +443,7 @@ def er_pairs_decremental(
 
     keys = _key_rows(old_source).map_batches(flag_removed, batch_format="pyarrow")
     return _rescore_blocks(keys, base_pairs, rm_ref, emit_all_pairs, dict(
-        max_distance=max_distance, algorithm=algorithm,
-        max_block_strings=max_block_strings))
+        max_distance=max_distance, algorithm=algorithm))
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,12 @@ Each page explodes to one row ``(block_key, url, key_string)`` per key:
   titles across hosts at distance 0 with one tiny block per distinct title.
 
 Skew: hot (host, token) blocks — stopword-like tokens on mega-hosts — are
-subdivided in-memory by the scorer's salting (bounded cardinality,
-``stages.scorer.BlockScorer._subdivide``); the keys themselves never fan out
-more than (#tokens + 1) rows per page, keeping the blocking shuffle linear
-in corpus size.
+scored whole: the scorer pairs a block's titles within ``max_distance`` in
+length and works through those pairs in bounded tiles
+(``stages.scorer.PAIR_TILE``), so no pair is dropped and no block
+materializes its whole triangle; the keys themselves never fan out more
+than (#tokens + 1) rows per page, keeping the blocking shuffle linear in
+corpus size.
 """
 
 from urllib.parse import urlparse

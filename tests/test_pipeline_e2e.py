@@ -171,7 +171,9 @@ def _dp_scan_edges(pages, max_distance=2):
     """The default engine's edge semantics, by brute force: in each block,
     every url stars (distance 0) to the smallest url sharing its title, and
     the smallest urls of two titles within ``max_distance`` (pure-Python
-    DP) are joined; the smallest distance per url pair wins."""
+    DP, run with the titles' common prefix and suffix stripped, which
+    never changes a Levenshtein distance) are joined; the smallest
+    distance per url pair wins.  Blocks of any size are scanned whole."""
     from liblevenshtein_rust_ray.kernel import standard_distance
     from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch
     from liblevenshtein_rust_ray.stages.extract import extract_batch
@@ -186,13 +188,15 @@ def _dp_scan_edges(pages, max_distance=2):
 
     for _key, g in keys.groupby("block_key"):
         rep = g.groupby("key_string")["url"].min()
-        assert len(rep) <= 512  # below the salting cap: the scan is exact
         for s, u in zip(g["key_string"], g["url"]):
             add(rep[s], u, 0)
         titles = sorted(rep.index)
         for i, s in enumerate(titles):
             for t in titles[i + 1:]:
-                d = standard_distance(s, t)
+                p = len(os.path.commonprefix([s, t]))
+                a, b = s[p:], t[p:]
+                q = len(os.path.commonprefix([a[::-1], b[::-1]]))
+                d = standard_distance(a[:len(a) - q], b[:len(b) - q])
                 if d <= max_distance:
                     add(rep[s], rep[t], d)
     return sorted((a, b, d) for (a, b), d in best.items())
@@ -280,19 +284,22 @@ def test_er_pairs_local_plan_matches_distributed(tmp_path, corpus, kind, monkeyp
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_er_pairs_local_plan_multi_chunk(corpus, monkeypatch):
-    """A tiny pair budget splits the key table into many chunks; the edges
-    do not change."""
+def test_er_pairs_local_plan_many_tiles(corpus, monkeypatch):
+    """A tiny pair tile makes the local plan's one scorer call run many
+    tiles; the edges do not change."""
+    from unittest import mock
+
     import pandas as pd
 
-    from liblevenshtein_rust_ray.pipelines import entity_resolution
+    from liblevenshtein_rust_ray.stages import scorer
 
     tab, _ = corpus
-    monkeypatch.setattr(entity_resolution, "LOCAL_PAIR_BUDGET", 20)
+    monkeypatch.setattr(scorer, "PAIR_TILE", 20)
     _force_plan(monkeypatch, "local")
-    stats = {}
-    local = _sorted_edges(er_pairs(tab, stats=stats))
-    assert stats["chunks"] > 4
+    with mock.patch.object(scorer, "_score_tile", wraps=scorer._score_tile) as tiles:
+        local = _sorted_edges(er_pairs(tab))
+    assert tiles.call_count > 4
+    assert list(local.itertuples(index=False, name=None)) == _dp_scan_edges(tab)
     _force_plan(monkeypatch, "distributed")
     pd.testing.assert_frame_equal(local, _sorted_edges(er_pairs(tab)))
 
@@ -328,7 +335,8 @@ def test_er_pairs_local_plan_checkpoint_resume(tmp_path, corpus, monkeypatch):
 def test_checkpoints_not_reused_across_scorer_settings(tmp_path, corpus):
     """The pairs and clusters fingerprints cover every option that changes
     the edges: a checkpointed default run is not re-served to a later
-    all-pairs or different-cap call under the same ``fingerprint``."""
+    all-pairs call under the same ``fingerprint``.  The salting cap is
+    gone, and passing it is an error."""
     import pandas as pd
 
     from liblevenshtein_rust_ray.pipelines.entity_resolution import er_clusters
@@ -341,16 +349,53 @@ def test_checkpoints_not_reused_across_scorer_settings(tmp_path, corpus):
     assert len(all_pairs) > len(default)
     pd.testing.assert_frame_equal(all_pairs,
                                   _sorted_edges(er_pairs(tab, emit_all_pairs=True)))
-    capped = _sorted_edges(er_pairs(tab, checkpoints=ck, fingerprint="p",
-                                    max_block_strings=1))
-    pd.testing.assert_frame_equal(capped,
-                                  _sorted_edges(er_pairs(tab, max_block_strings=1)))
+    with pytest.raises(TypeError):
+        er_pairs(tab, max_block_strings=1)
 
     fps = set()
-    for kw in ({}, {"emit_all_pairs": True}, {"max_block_strings": 1}):
+    for kw in ({}, {"emit_all_pairs": True}):
         er_clusters(tab, checkpoints=ck, fingerprint="c", **kw).materialize()
         fps.add(ck.manifest("clusters")["input_fingerprint"])
-    assert len(fps) == 3
+    assert len(fps) == 2
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_salted_era_checkpoints_recompute(tmp_path, corpus):
+    """``pairs`` and ``clusters`` checkpoints written under the salting
+    scorer's fingerprints (``...|all0|cap512``) hold edges that missed
+    pairs: they are recomputed, not re-served."""
+    import json
+
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from liblevenshtein_rust_ray.pipelines.entity_resolution import er_clusters
+    from liblevenshtein_rust_ray.stages.extract import EXTRACTOR_VERSION
+
+    tab, _ = corpus
+    run_dir = tmp_path / "run"
+    old_fp = f"p|x{EXTRACTOR_VERSION}|d2|standard|all0|cap512"
+    stale = {"pairs": pa.table({"url_a": ["https://stale/a"], "url_b": ["https://stale/b"],
+                                "distance": pa.array([1], pa.int32())}),
+             "clusters": pa.table({"url": ["https://stale/a"], "cluster_id": [0]})}
+    for stage, fp in (("pairs", old_fp), ("clusters", old_fp + "|cc")):
+        os.makedirs(run_dir / stage)
+        pq.write_table(stale[stage], str(run_dir / stage / "part-0.parquet"))
+        with open(run_dir / f"{stage}.manifest.json", "w") as f:
+            json.dump({"stage": stage, "input_fingerprint": fp, "rows": 1,
+                       "counters": {}, "complete": True, "completed_at": 0}, f)
+
+    ck = CheckpointManager(str(run_dir))
+    got = er_clusters(tab, checkpoints=ck, fingerprint="p").to_pandas()
+    want = er_clusters(tab).to_pandas()
+    assert "https://stale/a" not in set(got["url"])
+    pd.testing.assert_frame_equal(got.sort_values("url").reset_index(drop=True),
+                                  want.sort_values("url").reset_index(drop=True))
+    for stage in ("pairs", "clusters"):
+        m = ck.manifest(stage)
+        assert "cap" not in m["input_fingerprint"] and m["counters"], m
+    assert ck.manifest("pairs")["counters"]["plan"] == "local"
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -473,8 +518,9 @@ def test_er_pairs_decremental_equals_full(corpus):
 
 
 # adversarial pages: NUL and non-BMP urls, duplicate urls, empty and
-# identical titles, plus one block of 520 distinct titles (same host, shared
-# token, one length bucket) so the scorer's salting runs inside a chunk
+# identical titles, plus one block of 513-530 distinct titles of one length
+# (same host, shared token, one length bucket): 131k+ candidate pairs in
+# one block, above the 512-title cap the scorer once salted at
 _URL_PARTS = ["https://h\x00st.com/", "https://\U0001F600.org/", "https://plain.net/"]
 _TITLES = ["", "same title", "same titel", "alpha beta", "alpha betx", "\U0001F600 emoji x"]
 
@@ -510,19 +556,22 @@ def adversarial_pages(draw):
 @settings(max_examples=6, deadline=None)
 @given(pages=adversarial_pages())
 def test_er_pairs_plans_agree_on_adversarial_pages(pages):
-    """Local (many chunks) and distributed plans give identical edges on
-    adversarial inputs, including a salted block."""
+    """Local (many tiles) and distributed plans give identical edges on
+    adversarial inputs, and both equal a DP scan of every block, the
+    oversized one included."""
     from unittest import mock
 
     import pandas as pd
 
     from liblevenshtein_rust_ray.pipelines import entity_resolution
+    from liblevenshtein_rust_ray.stages import scorer
 
-    with mock.patch.object(entity_resolution, "LOCAL_PAIR_BUDGET", 5_000), \
+    with mock.patch.object(scorer, "PAIR_TILE", 5_000), \
+            mock.patch.object(scorer, "_score_tile", wraps=scorer._score_tile) as tiles, \
             mock.patch.object(entity_resolution, "LOCAL_SPEEDUPS", _speedups("local")):
-        stats = {}
-        local = _sorted_edges(er_pairs(pages, stats=stats))
-    assert stats["chunks"] > 1
+        local = _sorted_edges(er_pairs(pages))
+    assert tiles.call_count > 1
     with mock.patch.object(entity_resolution, "LOCAL_SPEEDUPS", _speedups("distributed")):
         dist = _sorted_edges(er_pairs(pages))
     pd.testing.assert_frame_equal(local, dist)
+    assert list(local.itertuples(index=False, name=None)) == _dp_scan_edges(pages)

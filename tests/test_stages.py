@@ -114,13 +114,37 @@ def test_scorer_all_pairs_parity_with_dp():
     assert got == expected
 
 
-def test_scorer_salting_preserves_near_pairs():
-    # force subdivision with a tiny cap; near-identical strings must still pair
+def _dp_scan_block(rows, max_distance=2):
+    """Brute-force edges of one block of ``(string, url)`` rows with one
+    url per string: every string pair within ``max_distance`` of each
+    other by the pure-Python DP, run on the pair with its common prefix and
+    suffix stripped (which never changes a Levenshtein distance)."""
+    import itertools
+    import os
+
+    out = set()
+    for (s, u), (t, v) in itertools.combinations(rows, 2):
+        p = len(os.path.commonprefix([s, t]))
+        a, b = s[p:], t[p:]
+        q = len(os.path.commonprefix([a[::-1], b[::-1]]))
+        d = standard_distance(a[:len(a) - q], b[:len(b) - q])
+        if d <= max_distance:
+            out.add((min(u, v), max(u, v), d))
+    return out
+
+
+def _edge_set(out):
+    return set(zip(out["url_a"], out["url_b"], out["distance"]))
+
+
+def test_block_scorer_large_block_keeps_near_pairs():
+    """A 101-string block is scored whole: every pair within distance 1
+    is found, the near-identical one included."""
     rows = [(f"prefix-{i:04d}", f"u{i}") for i in range(100)]
     rows.append(("prefix-0000x", "near_a"))
-    out = BlockScorer(max_distance=1, max_block_strings=10)(_group(rows))
-    pairs = set(zip(out["url_a"], out["url_b"]))
-    assert ("near_a", "u0") in pairs or ("u0", "near_a") in pairs
+    got = _edge_set(BlockScorer(max_distance=1)(_group(rows)))
+    assert ("near_a", "u0", 1) in got
+    assert got == _dp_scan_block(rows, max_distance=1)
 
 
 def test_scorer_empty_and_single():
@@ -243,8 +267,8 @@ def test_connected_components_auto_contraction_parity(threshold, monkeypatch):
 
 def test_vectorized_bucket_scorer_parity():
     """score_bucket_vectorized_arrow ≡ BlockScorer (the automaton reference)
-    per block + global pair dedup, including identical-string stars,
-    representative edges, and salting."""
+    per block + global pair dedup, including identical-string stars and
+    representative edges."""
     import numpy as np
     import pandas as pd
 
@@ -280,24 +304,48 @@ def test_vectorized_bucket_scorer_parity():
     assert {d for *_, d in v} == {0, 1, 2}  # stars and both edit distances
 
 
-def test_vectorized_scorer_salting_parity():
-    """Oversized blocks go through the same two-view simhash salting as
-    BlockScorer's."""
-    import pandas as pd
+def test_vectorized_scorer_one_block_matches_dp_scan():
+    """One 40-string block: both scorers give exactly the DP scan's
+    edges."""
+    from liblevenshtein_rust_ray.stages.scorer import score_bucket_vectorized_arrow
 
-    from liblevenshtein_rust_ray.stages.scorer import (
-        BlockScorer, score_bucket_vectorized_arrow,
-    )
+    rows = [(f"shared prefix string number {i:04d}", f"u{i:03d}") for i in range(40)]
+    df = _group(rows)
+    want = _dp_scan_block(rows)
+    assert _edge_set(BlockScorer()(df)) == want
+    vec = score_bucket_vectorized_arrow(pa.Table.from_pandas(df, preserve_index=False))
+    assert set(zip(*vec.to_pydict().values())) == want
 
-    strings = [f"shared prefix string number {i:04d}" for i in range(40)]
-    df = pd.DataFrame(
-        {"block_key": "big", "url": [f"u{i:03d}" for i in range(40)], "key_string": strings}
-    )
-    sc = BlockScorer(max_block_strings=8)
-    auto = sc(df).groupby(["url_a", "url_b"], as_index=False)["distance"].min()
-    vec = score_bucket_vectorized_arrow(pa.Table.from_pandas(df, preserve_index=False),
-                                        max_block_strings=8)
-    assert set(map(tuple, auto.values.tolist())) == set(zip(*vec.to_pydict().values()))
+
+def _big_block_rows():
+    """530 distinct titles of lengths 9-11 in one block: digit swaps give
+    distance 1-2 pairs of equal length, suffixes pairs 1 and 2 apart in
+    length."""
+    rows = [(f"title {i:03d}", f"u{i:03d}") for i in range(400)]
+    rows += [(f"title {i:03d}x", f"v{i:03d}") for i in range(0, 400, 5)]
+    rows += [(f"title {i:03d}xy", f"w{i:03d}") for i in range(0, 400, 8)]
+    return rows
+
+
+@pytest.mark.parametrize("tile", [None, 1_000])
+def test_scorers_match_dp_scan_above_512_titles(tile, monkeypatch):
+    """A block of more than 512 distinct titles is scored exactly by both
+    scorers, in one tile or in many."""
+    from liblevenshtein_rust_ray.stages import scorer
+
+    rows = _big_block_rows()
+    assert len(rows) > 512
+    df = _group(rows)
+    want = _dp_scan_block(rows)
+    assert {d for *_, d in want} == {1, 2}
+    lens = {u: len(s) for s, u in rows}
+    assert {abs(lens[a] - lens[b]) for a, b, _ in want} == {0, 1, 2}
+    if tile:
+        monkeypatch.setattr(scorer, "PAIR_TILE", tile)
+    vec = scorer.score_bucket_vectorized_arrow(pa.Table.from_pandas(df, preserve_index=False))
+    assert set(zip(*vec.to_pydict().values())) == want
+    if tile is None:
+        assert _edge_set(BlockScorer()(df)) == want
 
 
 def test_all_pairs_bucket_scorer_matches_block_scorer():
@@ -453,7 +501,7 @@ def test_hash_buckets_keeps_nul_suffixed_keys_apart():
 def test_hash_buckets_pinned():
     """Bucket ids of NUL-free keys are unchanged by hashing strings as
     bytes (pinned values from the str-hashing version), so ``er_pairs``'
-    chunks and exchange buckets are too."""
+    exchange buckets are too."""
     from liblevenshtein_rust_ray.stages.grouped import hash_buckets
 
     keys = ["", "a", "ab", "host.example|acme widget", "Zürich", "東京",
