@@ -163,9 +163,9 @@ def _local_pairs(source, stats: dict, **score_kwargs):
         parts.append(blocking_keys_batch(extract_batch(t)))
     keys = pa.concat_tables(parts) if parts else pa.schema(
         [(c, pa.string()) for c in ("block_key", "url", "key_string")]).empty_table()
-    edges = score_bucket_vectorized_arrow(keys, **score_kwargs)
-    stats.update(plan="local", pages=pages, key_rows=keys.num_rows,
-                 edges=edges.num_rows)
+    stats.update(plan="local", pages=pages, key_rows=keys.num_rows)
+    edges = score_bucket_vectorized_arrow(keys, stats=stats, **score_kwargs)
+    stats["edges"] = edges.num_rows
     return edges
 
 
@@ -203,9 +203,9 @@ def er_pairs(
 
     Each hash bucket of ``block_key`` is scored by one bucket scorer, then
     url pairs are min-deduped (the same title pair co-occurs under several
-    blocking keys, so it is scored ~3x; the banded DP is ~3 us/pair, and
-    scoring each pair once instead cost more exchange than it saved —
-    docs/SCALE.md section 5).  ``emit_all_pairs`` picks the scorer:
+    blocking keys; a scorer call runs the DP once per distinct title pair
+    of a batch, and deduping pairs across buckets cost more exchange than
+    it saved — docs/SCALE.md section 5).  ``emit_all_pairs`` picks the scorer:
 
     * ``False`` (default) — :func:`score_bucket_vectorized_arrow`, the
       numpy banded-DP kernel (the reference's SIMD distance-matrix path):
@@ -228,8 +228,11 @@ def er_pairs(
     105k on 4, none from 20.
 
     ``stats`` receives ``plan`` and ``pages`` (None if unknown); the
-    distributed plan adds ``n_buckets``, the local plan ``key_rows`` and
-    ``edges``.  It is the pairs stage's checkpoint ``counters``."""
+    distributed plan adds ``n_buckets``, the local plan ``key_rows``,
+    ``edges`` and the scorer's funnel: ``candidate_pairs`` (length-banded
+    title pairs) >= ``signature_pairs`` (those passing the char-signature
+    tests) >= ``dp_pairs`` (distinct pairs the banded DP scored).  It is
+    the pairs stage's checkpoint ``counters``."""
     ck = checkpoints or CheckpointManager("", enabled=False)
     fp = _pairs_fingerprint(fingerprint, max_distance, algorithm, emit_all_pairs)
     stats = {} if stats is None else stats

@@ -15,11 +15,12 @@ Each page explodes to one row ``(block_key, url, key_string)`` per key:
 
 Skew: hot (host, token) blocks — stopword-like tokens on mega-hosts — are
 scored whole: the scorer pairs a block's titles within ``max_distance`` in
-length and works through those pairs in bounded tiles
-(``stages.scorer.PAIR_TILE``), so no pair is dropped and no block
-materializes its whole triangle; the keys themselves never fan out more
-than (#tokens + 1) rows per page, keeping the blocking shuffle linear in
-corpus size.
+length, in bounded tiles (``stages.scorer.PAIR_TILE``), drops the pairs
+whose char signatures are too far apart, and scores the survivors in
+bounded DP batches, so no pair within ``max_distance`` is dropped and no
+block materializes its whole triangle; the keys themselves never fan out
+more than (#tokens + 1) rows per page, keeping the blocking shuffle linear
+in corpus size.
 """
 
 from urllib.parse import urlparse

@@ -25,11 +25,14 @@ within ``max_distance`` is found.  Scale design decisions (north rule):
 * **Cross-string matches connect representatives.**  One edge per matching
   string pair (min-url of each side).  ``emit_all_pairs=True`` restores the
   full quadratic pair set for small-scale parity checks.
-* **Length-banded candidate tiles.**  One edit changes a length by at most
-  1, so the vectorized scorer pairs each string only with the strings of
-  its block within ``max_distance`` in length (lossless), and generates,
-  filters and scores those pairs in tiles of at most ``PAIR_TILE``: a hot
-  block costs time in proportion to its banded pairs, never memory in
+* **Length-banded candidate tiles, filtered before they are deduped.**
+  One edit changes a length by at most 1, so the vectorized scorer pairs
+  each string only with the strings of its block within ``max_distance``
+  in length, in tiles of at most ``PAIR_TILE``.  A tile keeps the pairs
+  that pass two char signatures built once per bucket (a 64-bin histogram
+  and its presence mask); the survivors are deduped and scored in DP
+  batches of about ``PAIR_TILE``.  Every step is lossless, and a hot block
+  costs time in proportion to its banded pairs, never memory in
   proportion to its triangle.
 * Traversal state (automaton transition memos) is per-query; the trie is
   per-group.  Parallelism is across buckets (Ray tasks), never inside a
@@ -42,8 +45,8 @@ from ..kernel import STANDARD, build_trie
 from ..kernel.query import query as kernel_query
 
 EDGE_COLUMNS = ["url_a", "url_b", "distance"]
-# Candidate string pairs the vectorized scorer generates, filters and
-# scores at once (docs/SCALE.md section 16).
+# Candidate string pairs the vectorized scorer generates and filters at
+# once, and the survivors it holds before a DP batch (docs/SCALE.md §16).
 PAIR_TILE = 65_536
 
 
@@ -85,22 +88,13 @@ class BlockScorer:
         # distance-0 edges for identical strings: star to the min url by
         # default (linear); full quadratic pair set in emit_all_pairs mode
         # (small-scale parity / SQL-oracle mode)
-        for s, us in by_string.items():
-            if len(us) > 1:
-                if self.emit_all_pairs:
-                    ud = sorted(set(us))
-                    for i in range(len(ud)):
-                        for j in range(i + 1, len(ud)):
-                            out_a.append(ud[i])
-                            out_b.append(ud[j])
-                            out_d.append(0)
-                else:
-                    ud = sorted(set(us))  # dup rows (repeated tokens) collapse
-                    rep = ud[0]
-                    for u in ud[1:]:
-                        out_a.append(rep)
-                        out_b.append(u)
-                        out_d.append(0)
+        for us in by_string.values():
+            ud = sorted(set(us))  # dup rows (repeated tokens) collapse
+            for i in range(len(ud) if self.emit_all_pairs else 1):
+                for j in range(i + 1, len(ud)):
+                    out_a.append(ud[i])
+                    out_b.append(ud[j])
+                    out_d.append(0)
 
         self._score_distinct(sorted(by_string), by_string, out_a, out_b, out_d)
 
@@ -120,19 +114,13 @@ class BlockScorer:
                 t = cand.term
                 if t <= q:
                     continue  # canonical ordering: each string pair once
-                if self.emit_all_pairs:
-                    for ua in by_string[q]:
-                        for ub in by_string[t]:
-                            a, b = (ua, ub) if ua < ub else (ub, ua)
-                            out_a.append(a)
-                            out_b.append(b)
-                            out_d.append(cand.distance)
-                else:
-                    ua, ub = by_string[q][0], by_string[t][0]
-                    a, b = (ua, ub) if ua < ub else (ub, ua)
-                    out_a.append(a)
-                    out_b.append(b)
-                    out_d.append(cand.distance)
+                k = None if self.emit_all_pairs else 1  # else min urls only
+                for ua in by_string[q][:k]:
+                    for ub in by_string[t][:k]:
+                        a, b = (ua, ub) if ua < ub else (ub, ua)
+                        out_a.append(a)
+                        out_b.append(b)
+                        out_d.append(cand.distance)
 
 
 def score_bucket_all_pairs_arrow(
@@ -161,18 +149,13 @@ def score_bucket_all_pairs_arrow(
 
 
 # ======================================================================
-# Vectorized bucket scorer — the production path.
-#
-# The automaton path above is exact but pays Python per traversal step; at
-# blocking-key granularity groups average a handful of rows, so per-group
-# Python work dominates.  ``score_bucket_vectorized_arrow`` instead
-# processes a WHOLE hash bucket of blocks with integer codes and one call
-# into the numpy banded-DP kernel per tile of candidate pairs
-# (kernel.vectorized — the reference's SIMD distance-matrix capability,
-# src/distance/simd.rs), with BlockScorer's
-# representative-edge semantics: distance-0 stars for identical strings,
-# representative edges across distinct strings.  Parity with BlockScorer
-# and a DP scan is pinned by tests/test_stages.py.
+# Vectorized bucket scorer — the production path.  The automaton path above
+# pays Python per traversal step, and blocks average a handful of rows;
+# ``score_bucket_vectorized_arrow`` scores a WHOLE hash bucket with integer
+# codes and batched calls into the numpy banded-DP kernel
+# (kernel.vectorized — the reference's SIMD distance matrix,
+# src/distance/simd.rs), with BlockScorer's representative-edge semantics.
+# Parity with BlockScorer and a DP scan is pinned by tests/test_stages.py.
 # ======================================================================
 def _edges_schema():
     import pyarrow as pa
@@ -211,7 +194,7 @@ def score_bucket_vectorized_arrow(
     tbl,
     max_distance: int = 2,
     algorithm: str = STANDARD,
-    subst=None,
+    stats: dict | None = None,
 ):
     """(block_key, url, key_string) rows -> canonical edges for the bucket:
     distance-0 stars for identical strings, one representative (min-url)
@@ -221,37 +204,30 @@ def score_bucket_vectorized_arrow(
     Python strings — dictionary-encode in C, run the integer core, then
     ``take`` the output urls straight from the Arrow dictionary (only
     distinct strings cross into Python, for the DP kernel).  Quadratic
-    SQL-oracle output goes through :func:`score_bucket_all_pairs_arrow`."""
+    SQL-oracle output goes through :func:`score_bucket_all_pairs_arrow`.
+
+    ``stats``, if given, receives the candidate funnel:
+    ``candidate_pairs`` (length-banded string pairs), ``signature_pairs``
+    (those passing both char-signature tests) and ``dp_pairs`` (distinct
+    pairs the DP scored)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    if tbl.num_rows == 0:
-        return _empty_edges_arrow()
     uid, url_dict = _sorted_codes(tbl["url"])
     sid, str_dict = _sorted_codes(tbl["key_string"])
-    bk = pc.dictionary_encode(tbl["block_key"].combine_chunks())
-    bkid = bk.indices.to_numpy().astype(np.int64)
-    uniq_strs = str_dict.to_pylist()
-
-    lo, hi, dist = _score_bucket_core(bkid, sid, uid, uniq_strs, max_distance=max_distance,
-                                      algorithm=algorithm, subst=subst)
-    if not len(lo):
-        return _empty_edges_arrow()
-    return pa.table(
-        {
-            "url_a": url_dict.take(pa.array(lo, type=pa.int64())),
-            "url_b": url_dict.take(pa.array(hi, type=pa.int64())),
-            "distance": pa.array(dist.astype(np.int32), type=pa.int32()),
-        },
-        schema=_edges_schema(),
-    )
+    bkid = pc.dictionary_encode(tbl["block_key"].combine_chunks()).indices.to_numpy()
+    lo, hi, dist = _score_bucket_core(bkid.astype(np.int64), sid, uid, str_dict.to_pylist(),
+                                      max_distance, algorithm, {} if stats is None else stats)
+    return pa.table({"url_a": url_dict.take(pa.array(lo)), "url_b": url_dict.take(pa.array(hi)),
+                     "distance": pa.array(dist, type=pa.int32())}, schema=_edges_schema())
 
 
 def _score_bucket_core(bkid, sid, uid, uniq_strs, max_distance: int, algorithm: str,
-                       subst=None):
+                       stats: dict):
     """All-integer bucket scoring: (block, string, url) id triples ->
-    deduped canonical edges ``(lo_url_idx, hi_url_idx, distance)``.
+    deduped canonical edges ``(lo_url_idx, hi_url_idx, distance)``; the
+    candidate funnel's counts go to ``stats``.
 
     ``sid`` codes MUST be assigned in lexicographic string order
     (:func:`_sorted_codes` ranks them) — canonical pair order is an
@@ -264,16 +240,14 @@ def _score_bucket_core(bkid, sid, uid, uniq_strs, max_distance: int, algorithm: 
     # --- dedup (block, string, url) triples via lexsort ------------------
     order = np.lexsort((uid, sid, bkid))
     b, s, u = bkid[order], sid[order], uid[order]
-    first = np.empty(len(b), dtype=bool)
-    first[:1] = True
+    first = np.ones(len(b), dtype=bool)
     first[1:] = (b[1:] != b[:-1]) | (s[1:] != s[:-1]) | (u[1:] != u[:-1])
     b, s, u = b[first], s[first], u[first]
 
     # --- distance-0 stars: k urls sharing (block, string) -> k-1 edges ---
     # rows are sorted by (block, string, url), so the group head is the
     # min url; every non-head row stars to it
-    head = np.empty(len(b), dtype=bool)
-    head[:1] = True
+    head = np.ones(len(b), dtype=bool)
     head[1:] = (b[1:] != b[:-1]) | (s[1:] != s[:-1])
     grp = np.cumsum(head) - 1
     rep_u = u[head]
@@ -283,8 +257,8 @@ def _score_bucket_core(bkid, sid, uid, uniq_strs, max_distance: int, algorithm: 
     # --- candidate pairs: one edit moves a length by at most 1, so with a
     # block's distinct strings sorted by length, a string's only partners
     # are the rows after it up to its length + n (lossless for every
-    # algorithm and ``subst``).  ``block * span + length`` keeps blocks
-    # apart, so one searchsorted finds every row's partner range ----------
+    # algorithm).  ``block * span + length`` keeps blocks apart, so one
+    # searchsorted finds every row's partner range ------------------------
     lens = np.fromiter((len(x) for x in uniq_strs), np.int64, count=len(uniq_strs))
     gs = s[head]
     key = b[head] * (int(lens.max(initial=0)) + n + 1) + lens[gs]
@@ -292,80 +266,94 @@ def _score_bucket_core(bkid, sid, uid, uniq_strs, max_distance: int, algorithm: 
     key, gs, gu = key[order], gs[order], rep_u[order]
     n_partners = np.searchsorted(key, key + n, side="right") - np.arange(len(key)) - 1
     ends = np.cumsum(n_partners)
-    total = int(ends[-1]) if len(ends) else 0
+    starts, total = ends - n_partners, int(ends[-1]) if len(ends) else 0
 
     # --- the pairs in tiles of PAIR_TILE: pair p belongs to the row i whose
-    # partner range holds it, so no block materializes its whole triangle
+    # partner range [starts[i], ends[i]) holds it, so no block materializes
+    # its whole triangle.  A tile keeps the canonical (smaller sid first:
+    # BlockScorer's query side) pairs that pass the bucket's char
+    # signatures; the survivors are held until there are PAIR_TILE of them,
+    # then deduped and scored in one DP batch -----------------------------
+    hist, mask = _char_signatures(uniq_strs, lens)
+    held, n_held = [], 0
+    stats.update(candidate_pairs=total, signature_pairs=0, dp_pairs=0)
     for p0 in range(0, total, PAIR_TILE):
-        p = np.arange(p0, min(p0 + PAIR_TILE, total))
-        i = np.searchsorted(ends, p, side="right")
-        j = i + 1 + p - (ends[i] - n_partners[i])
-        out.append(_score_tile(gs[i], gs[j], gu[i], gu[j], uniq_strs, lens,
-                               n, algorithm, subst))
+        p1 = min(p0 + PAIR_TILE, total)
+        rows = np.arange(np.searchsorted(ends, p0, "right"), np.searchsorted(ends, p1) + 1)
+        i = np.repeat(rows, np.minimum(ends[rows], p1) - np.maximum(starts[rows], p0))
+        j = i + 1 + np.arange(p0, p1) - starts[i]
+        sa, sb = np.minimum(gs[i], gs[j]), np.maximum(gs[i], gs[j])
+        keep = _signature_pass(sa, sb, hist, mask, n, algorithm)
+        held.append((sa[keep], sb[keep], gu[i[keep]], gu[j[keep]]))
+        n_held += len(keep)
+        if n_held >= PAIR_TILE or (p1 == total and n_held):
+            stats["signature_pairs"] += n_held
+            out.append(_score_batch(*map(np.concatenate, zip(*held)), uniq_strs, lens,
+                                    n, algorithm, stats))
+            held, n_held = [], 0
 
     # --- merge stars + scored edges, keep min distance per url pair ------
     all_lo, all_hi, all_d = (np.concatenate(c) for c in zip(*out))
     order = np.lexsort((all_d, all_hi, all_lo))
     all_lo, all_hi, all_d = all_lo[order], all_hi[order], all_d[order]
-    keep = np.empty(len(all_lo), dtype=bool)
-    keep[:1] = True
+    keep = np.ones(len(all_lo), dtype=bool)
     keep[1:] = (all_lo[1:] != all_lo[:-1]) | (all_hi[1:] != all_hi[:-1])
     return all_lo[keep], all_hi[keep], all_d[keep]
 
 
-def _score_tile(sa, sb, ua, ub, uniq_strs, lens, n: int, algorithm: str, subst):
-    """One tile of candidate string pairs ``(sa, sb)`` with their
-    representative urls -> the ``(lo_url, hi_url, distance)`` edges within
-    ``n``.  Everything it allocates is bounded by the tile's strings."""
+def _char_signatures(uniq_strs, lens):
+    """Per string: a uint8 64-bin char histogram (chars mod 64, counts
+    clipped at 255) and its 64-bit presence mask, 72 B in all.  Built
+    PAIR_TILE // 64 strings at a time, so a bincount (np.add.at is ~7x
+    slower) has PAIR_TILE bins."""
     import numpy as np
 
-    from ..kernel.vectorized import _banded_pairs, batch_distances, encode_concat
+    step = max(PAIR_TILE // 64, 1)
+    hist = np.empty((len(uniq_strs), 64), dtype=np.uint8)
+    for k0 in range(0, len(uniq_strs), step):
+        part = uniq_strs[k0:k0 + step]
+        buf = np.frombuffer("".join(part).encode("utf-32-le"), dtype=np.uint32)
+        rows = np.repeat(np.arange(len(part)) * 64, lens[k0:k0 + len(part)])
+        h = np.bincount(rows + (buf & np.uint32(63)), minlength=len(part) * 64)
+        hist[k0:k0 + len(part)] = np.minimum(h, 255, out=h).reshape(-1, 64)
+    mask = np.packbits(hist > 0, axis=1).view(np.uint64).ravel()
+    return hist, mask
 
-    # canonical order: the smaller string (lexicographic == sid order) is
-    # the automaton-side query (BlockScorer order)
-    sa, sb = np.minimum(sa, sb), np.maximum(sa, sb)
-    # DP once per distinct string pair
+
+def _signature_pass(sa, sb, hist, mask, n: int, algorithm: str):
+    """Indices of the string pairs ``(sa, sb)`` that may be within ``n``.
+    One edit moves the char-histogram L1 by at most 2 (3 for a merge or
+    split), so it flips at most that many presence bits; hashing chars mod
+    64 and clipping counts at 255 only weaken both bounds.  The 8 B mask
+    test runs first; its survivors' 64 B histogram rows are read after."""
+    import numpy as np
+
+    limit = n * (3 if algorithm == "merge_and_split" else 2)
+    x = mask[sa] ^ mask[sb]
+    for _ in range(limit):
+        x &= x - np.uint64(1)  # clear the lowest set bit
+    keep = np.flatnonzero(x == 0)  # at most ``limit`` bits differ
+    A, B = hist[sa[keep]], hist[sb[keep]]
+    return keep[(np.maximum(A, B) - np.minimum(A, B)).sum(axis=1) <= limit]
+
+
+def _score_batch(sa, sb, ua, ub, uniq_strs, lens, n: int, algorithm: str, stats: dict):
+    """Canonical string pairs ``(sa, sb)`` with their representative urls ->
+    the ``(lo_url, hi_url, distance)`` edges within ``n``: one banded DP per
+    distinct string pair, allocating in proportion to the batch only."""
+    import numpy as np
+
+    from ..kernel.vectorized import _banded_pairs, encode_concat
+
     pair, inv = np.unique(sa * len(uniq_strs) + sb, return_inverse=True)
     qa, qb = np.divmod(pair, len(uniq_strs))
-    d = np.full(len(qa), n + 1, dtype=np.int64)
-    todo = np.ones(len(qa), dtype=bool)
-    if subst is None:
-        todo = _histogram_bound(qa, qb, uniq_strs, lens, n, algorithm)
-    qa, qb = qa[todo], qb[todo]
-    if len(qa) and subst is not None and algorithm != STANDARD:
-        # restricted substitutions outside the standard tables route
-        # through batch_distances' exact automaton fallback
-        d[todo] = np.asarray(batch_distances(
-            [uniq_strs[k] for k in qa], [uniq_strs[k] for k in qb], n, algorithm, subst))
-    elif len(qa):
-        need = np.unique(np.concatenate([qa, qb]))
-        ENC, elens, _ = encode_concat([uniq_strs[k] for k in need],
-                                      reverse=(algorithm == "merge_and_split"),
-                                      lens=lens[need])
-        d[todo] = _banded_pairs(ENC, elens, np.searchsorted(need, qa),
-                                np.searchsorted(need, qb), n, algorithm, subst)
-    dist = d[inv]
+    stats["dp_pairs"] += len(pair)
+    need = np.unique(np.concatenate([qa, qb]))
+    ENC, elens, _ = encode_concat([uniq_strs[k] for k in need],
+                                  reverse=(algorithm == "merge_and_split"),
+                                  lens=lens[need])
+    dist = _banded_pairs(ENC, elens, np.searchsorted(need, qa),
+                         np.searchsorted(need, qb), n, algorithm)[inv]
     keep = (dist <= n) & (ua != ub)
     return (np.minimum(ua[keep], ub[keep]), np.maximum(ua[keep], ub[keep]),
             dist[keep])
-
-
-def _histogram_bound(qa, qb, uniq_strs, lens, n: int, algorithm: str):
-    """Which string pairs ``(qa, qb)`` may be within ``n``: one edit moves
-    a string's char-histogram L1 norm by <=2 (<=3 for merge/split), and
-    hashing chars mod 64 and clipping counts at 255 only weaken that
-    bound, never break it (uint8 rows make the L1 ~3x cheaper than int32).
-    bincount (not ufunc.at — 2.6 s of a 15.5 s serial profile) builds
-    the histograms of the pairs' strings only."""
-    import numpy as np
-
-    need = np.unique(np.concatenate([qa, qb]))
-    buf = np.frombuffer("".join([uniq_strs[k] for k in need]).encode("utf-32-le"),
-                        dtype=np.uint32)
-    rows = np.repeat(np.arange(len(need), dtype=np.int64), lens[need])
-    H = np.bincount(rows * 64 + (buf & np.uint32(63)), minlength=len(need) * 64)
-    H = np.minimum(H, 255).astype(np.uint8).reshape(-1, 64)
-    A, B = H[np.searchsorted(need, qa)], H[np.searchsorted(need, qb)]
-    # ceil(l1 / k) <= n  <=>  l1 <= n*k  (no division)
-    l1_per_edit = 3 if algorithm == "merge_and_split" else 2
-    return (np.maximum(A, B) - np.minimum(A, B)).sum(axis=1) <= n * l1_per_edit

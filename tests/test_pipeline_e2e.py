@@ -285,8 +285,9 @@ def test_er_pairs_local_plan_matches_distributed(tmp_path, corpus, kind, monkeyp
 
 @pytest.mark.usefixtures("ray_session")
 def test_er_pairs_local_plan_many_tiles(corpus, monkeypatch):
-    """A tiny pair tile makes the local plan's one scorer call run many
-    tiles; the edges do not change."""
+    """A tiny pair tile makes the local plan's one scorer call filter many
+    candidate tiles and score their survivors in several DP batches; the
+    edges do not change."""
     from unittest import mock
 
     import pandas as pd
@@ -296,9 +297,11 @@ def test_er_pairs_local_plan_many_tiles(corpus, monkeypatch):
     tab, _ = corpus
     monkeypatch.setattr(scorer, "PAIR_TILE", 20)
     _force_plan(monkeypatch, "local")
-    with mock.patch.object(scorer, "_score_tile", wraps=scorer._score_tile) as tiles:
+    with mock.patch.object(scorer, "_signature_pass", wraps=scorer._signature_pass) as tiles, \
+            mock.patch.object(scorer, "_score_batch", wraps=scorer._score_batch) as batches:
         local = _sorted_edges(er_pairs(tab))
     assert tiles.call_count > 4
+    assert batches.call_count > 1
     assert list(local.itertuples(index=False, name=None)) == _dp_scan_edges(tab)
     _force_plan(monkeypatch, "distributed")
     pd.testing.assert_frame_equal(local, _sorted_edges(er_pairs(tab)))
@@ -329,6 +332,20 @@ def test_er_pairs_local_plan_checkpoint_resume(tmp_path, corpus, monkeypatch):
     dist = _sorted_edges(er_pairs(tab))
     pd.testing.assert_frame_equal(first, dist)
     pd.testing.assert_frame_equal(resumed, dist)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_er_pairs_reports_scorer_funnel(tmp_path, corpus, monkeypatch):
+    """The local plan reports the scorer's candidate funnel, and the pairs
+    checkpoint manifest keeps it next to ``key_rows`` and ``edges``."""
+    tab, _ = corpus
+    run_dir = str(tmp_path / "run")
+    _force_plan(monkeypatch, "local")
+    er_pairs(tab, checkpoints=CheckpointManager(run_dir), fingerprint="f")
+    manifest = CheckpointManager(run_dir).manifest("pairs")
+    c = manifest["counters"]
+    assert c["candidate_pairs"] >= c["signature_pairs"] >= c["dp_pairs"] > 0
+    assert c["key_rows"] > 0 and c["edges"] == manifest["rows"] > 0
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -567,7 +584,7 @@ def test_er_pairs_plans_agree_on_adversarial_pages(pages):
     from liblevenshtein_rust_ray.stages import scorer
 
     with mock.patch.object(scorer, "PAIR_TILE", 5_000), \
-            mock.patch.object(scorer, "_score_tile", wraps=scorer._score_tile) as tiles, \
+            mock.patch.object(scorer, "_signature_pass", wraps=scorer._signature_pass) as tiles, \
             mock.patch.object(entity_resolution, "LOCAL_SPEEDUPS", _speedups("local")):
         local = _sorted_edges(er_pairs(pages))
     assert tiles.call_count > 1

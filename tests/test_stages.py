@@ -1,9 +1,11 @@
 """Stage kernels: extract, blocking, scorer (no Ray — pure batch kernels),
 plus Ray-level connected components."""
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from liblevenshtein_rust_ray.stages.extract import (
     extract_batch,
@@ -11,7 +13,9 @@ from liblevenshtein_rust_ray.stages.extract import (
 )
 from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch, keys_for_title
 from liblevenshtein_rust_ray.stages.scorer import BlockScorer
-from liblevenshtein_rust_ray.kernel import standard_distance
+from liblevenshtein_rust_ray.kernel import distance_fn, standard_distance
+
+ALGORITHMS = ["standard", "transposition", "merge_and_split"]
 
 
 def _pages_batch():
@@ -114,20 +118,20 @@ def test_scorer_all_pairs_parity_with_dp():
     assert got == expected
 
 
-def _dp_scan_block(rows, max_distance=2):
+def _dp_scan_block(rows, max_distance=2, algorithm="standard"):
     """Brute-force edges of one block of ``(string, url)`` rows with one
     url per string: every string pair within ``max_distance`` of each
-    other by the pure-Python DP, run on the pair with its common prefix and
-    suffix stripped (which never changes a Levenshtein distance)."""
+    other by ``algorithm``'s pure-Python DP, run on the pair with its
+    common prefix stripped (all three DPs match an equal leading char for
+    free, so this never changes a distance)."""
     import itertools
     import os
 
+    dist = distance_fn(algorithm)
     out = set()
     for (s, u), (t, v) in itertools.combinations(rows, 2):
         p = len(os.path.commonprefix([s, t]))
-        a, b = s[p:], t[p:]
-        q = len(os.path.commonprefix([a[::-1], b[::-1]]))
-        d = standard_distance(a[:len(a) - q], b[:len(b) - q])
+        d = dist(s[p:], t[p:])
         if d <= max_distance:
             out.add((min(u, v), max(u, v), d))
     return out
@@ -328,24 +332,90 @@ def _big_block_rows():
 
 
 @pytest.mark.parametrize("tile", [None, 1_000])
-def test_scorers_match_dp_scan_above_512_titles(tile, monkeypatch):
+@pytest.mark.parametrize("max_distance", [1, 2])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_scorers_match_dp_scan_above_512_titles(algorithm, max_distance, tile, monkeypatch):
     """A block of more than 512 distinct titles is scored exactly by both
-    scorers, in one tile or in many."""
+    scorers, in one tile or in many, for every algorithm and distance (the
+    char-signature limit depends on both)."""
     from liblevenshtein_rust_ray.stages import scorer
 
     rows = _big_block_rows()
     assert len(rows) > 512
     df = _group(rows)
-    want = _dp_scan_block(rows)
-    assert {d for *_, d in want} == {1, 2}
+    want = _dp_scan_block(rows, max_distance, algorithm)
+    assert {d for *_, d in want} == set(range(1, max_distance + 1))
     lens = {u: len(s) for s, u in rows}
-    assert {abs(lens[a] - lens[b]) for a, b, _ in want} == {0, 1, 2}
+    assert {abs(lens[a] - lens[b]) for a, b, _ in want} == set(range(max_distance + 1))
     if tile:
         monkeypatch.setattr(scorer, "PAIR_TILE", tile)
-    vec = scorer.score_bucket_vectorized_arrow(pa.Table.from_pandas(df, preserve_index=False))
+    vec = scorer.score_bucket_vectorized_arrow(pa.Table.from_pandas(df, preserve_index=False),
+                                               max_distance, algorithm)
     assert set(zip(*vec.to_pydict().values())) == want
     if tile is None:
-        assert _edge_set(BlockScorer()(df)) == want
+        assert _edge_set(BlockScorer(max_distance, algorithm)(df)) == want
+
+
+def _signature_keeps(a: str, b: str, n: int, algorithm: str) -> bool:
+    """Whether the vectorized scorer's char-signature pass keeps ``(a, b)``."""
+    from liblevenshtein_rust_ray.stages.scorer import _char_signatures, _signature_pass
+
+    hist, mask = _char_signatures([a, b], np.array([len(a), len(b)]))
+    kept = _signature_pass(np.array([0]), np.array([1]), hist, mask, n, algorithm)
+    return list(kept) == [0]
+
+
+# 'a' (97) and '\xa1' (161) share a bin mod 64, as do 'b' and '\xa2'; two
+# non-BMP codepoints; a space
+SIGNATURE_CHARS = "ab\xa1\xa2 \U0001F600\U00010061"
+
+
+@st.composite
+def _near_pair(draw, n: int, algorithm: str):
+    """A string of short runs with at most one run longer than 255 (a
+    histogram count's clip), possibly empty, and a copy of it after at
+    most ``n`` of ``algorithm``'s unit edits."""
+    char = st.sampled_from(SIGNATURE_CHARS)
+    runs = draw(st.lists(st.tuples(char, st.integers(1, 3)), max_size=4))
+    if draw(st.booleans()):
+        runs.insert(draw(st.integers(0, len(runs))), (draw(char), draw(st.integers(254, 258))))
+    a = b = "".join(c * k for c, k in runs)
+    ops = ["insert", "delete", "substitute"] + {
+        "transposition": ["swap"], "merge_and_split": ["merge", "split"]}.get(algorithm, [])
+    for _ in range(draw(st.integers(0, n))):
+        op, i, c = draw(st.sampled_from(ops)), draw(st.integers(0, len(b))), draw(char)
+        if op == "insert":
+            b = b[:i] + c + b[i:]
+        elif op in ("delete", "substitute", "split") and i < len(b):
+            b = b[:i] + {"delete": "", "substitute": c, "split": c + draw(char)}[op] + b[i + 1:]
+        elif op in ("swap", "merge") and i + 1 < len(b):
+            b = b[:i] + (b[i + 1] + b[i] if op == "swap" else c) + b[i + 2:]
+    return a, b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_signature_pass_keeps_every_near_pair(algorithm, n, data):
+    """The char-signature pass is lossless: it keeps every string pair
+    within ``n`` by the reference DP, across mod-64 collisions, non-BMP
+    chars, clipped counts and the empty string."""
+    a, b = data.draw(_near_pair(n, algorithm))
+    assume(distance_fn(algorithm)(a, b) <= n)
+    assert _signature_keeps(a, b, n, algorithm)
+
+
+@pytest.mark.parametrize("algorithm, a, b, kept", [
+    ("standard", "a", "b", True),          # 2 presence bits: exactly 2n
+    ("standard", "aab", "abb", True),      # histogram L1 2: exactly 2n
+    ("merge_and_split", "ab", "c", True),  # 3 presence bits: exactly 3n
+    ("standard", "ab", "cd", False),       # 4 bits
+    ("merge_and_split", "ab", "cd", False),
+])
+def test_signature_pass_limit_is_inclusive(algorithm, a, b, kept):
+    """At n=1 a pair at exactly the limit is kept, one past it dropped."""
+    assert _signature_keeps(a, b, 1, algorithm) is kept
 
 
 def test_all_pairs_bucket_scorer_matches_block_scorer():
