@@ -346,18 +346,14 @@ def batch_weighted_distances(queries, terms, ops: OperationSet,
     short pairs don't pay long pairs' DP area, and every DP cell is a (P,)
     numpy op (see ``_weighted_block``).  Property-tested against the
     per-pair ``weighted_distance`` DP and ``brute_force_distance``."""
-    from .vectorized import encode_strings
+    from .vectorized import encode_strings, factorize_strings
 
     P = len(queries)
     out = np.empty(P)
     if P == 0:
         return out
-    import pandas as pd
-
-    qarr = np.asarray(queries, dtype=object)
-    tarr = np.asarray(terms, dtype=object)
-    inv, uniq = pd.factorize(np.concatenate([qarr, tarr]), sort=False)
-    ENC, ulen = encode_strings(uniq.tolist())
+    inv, uniq = factorize_strings(queries, terms)
+    ENC, ulen = encode_strings(uniq)
     qi, ti = inv[:P], inv[P:]
     qlen, tlen = ulen[qi], ulen[ti]
 

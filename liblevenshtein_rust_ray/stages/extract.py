@@ -18,7 +18,6 @@ EXTRACTOR_VERSION = 1
 
 _TITLE_RE = re.compile(rb"<title>(.*?)</title>", re.S)
 _TAG_RE = re.compile(rb"<[^>]+>")
-_WS_RE = re.compile(r"\s+")
 
 
 def extract_text_from_html(html: bytes) -> str:
@@ -29,8 +28,10 @@ def extract_text_from_html(html: bytes) -> str:
     m = _TITLE_RE.search(html)
     title = m.group(1).decode("utf-8", "replace") if m else ""
     body = _TAG_RE.sub(b" ", _TITLE_RE.sub(b" ", html)).decode("utf-8", "replace")
-    body = _WS_RE.sub(" ", body).strip()
-    title = _WS_RE.sub(" ", title).strip()
+    # str.split() splits on exactly the chars re's \s matches (every
+    # str.isspace() codepoint), so this is the \s+ -> " " collapse + strip
+    body = " ".join(body.split())
+    title = " ".join(title.split())
     return f"{title}\n{body}" if title else body
 
 

@@ -137,15 +137,15 @@ def score_bucket_all_pairs_arrow(
 
     scorer = BlockScorer(max_distance=max_distance, algorithm=algorithm,
                          emit_all_pairs=True)
-    outs = [scorer(g) for _key, g in tbl.to_pandas().groupby("block_key", sort=False)
+    # Arrow codes, not pandas: its str hash stops at a NUL and would merge blocks
+    bkid = tbl["block_key"].combine_chunks().dictionary_encode().indices.to_numpy()
+    outs = [scorer(g) for _key, g in tbl.to_pandas().groupby(bkid, sort=False)
             if len(g) > 1]
     outs = [o for o in outs if len(o)]
     if not outs:
         return _empty_edges_arrow()
-    return pa.Table.from_pandas(
-        pd.concat(outs, ignore_index=True), schema=_edges_schema(),
-        preserve_index=False,
-    ).replace_schema_metadata(None)
+    return pa.Table.from_pandas(pd.concat(outs, ignore_index=True), schema=_edges_schema(),
+                                preserve_index=False).replace_schema_metadata(None)
 
 
 # ======================================================================
@@ -217,17 +217,18 @@ def score_bucket_vectorized_arrow(
     uid, url_dict = _sorted_codes(tbl["url"])
     sid, str_dict = _sorted_codes(tbl["key_string"])
     bkid = pc.dictionary_encode(tbl["block_key"].combine_chunks()).indices.to_numpy()
-    lo, hi, dist = _score_bucket_core(bkid.astype(np.int64), sid, uid, str_dict.to_pylist(),
+    lens = pc.utf8_length(str_dict).to_numpy().astype(np.int64)
+    lo, hi, dist = _score_bucket_core(bkid.astype(np.int64), sid, uid, str_dict.to_pylist(), lens,
                                       max_distance, algorithm, {} if stats is None else stats)
     return pa.table({"url_a": url_dict.take(pa.array(lo)), "url_b": url_dict.take(pa.array(hi)),
                      "distance": pa.array(dist, type=pa.int32())}, schema=_edges_schema())
 
 
-def _score_bucket_core(bkid, sid, uid, uniq_strs, max_distance: int, algorithm: str,
+def _score_bucket_core(bkid, sid, uid, uniq_strs, lens, max_distance: int, algorithm: str,
                        stats: dict):
-    """All-integer bucket scoring: (block, string, url) id triples ->
-    deduped canonical edges ``(lo_url_idx, hi_url_idx, distance)``; the
-    candidate funnel's counts go to ``stats``.
+    """All-integer bucket scoring: (block, string, url) id triples plus the
+    distinct strings and their lengths -> deduped canonical edges
+    ``(lo_url_idx, hi_url_idx, distance)``; funnel counts go to ``stats``.
 
     ``sid`` codes MUST be assigned in lexicographic string order
     (:func:`_sorted_codes` ranks them) — canonical pair order is an
@@ -259,7 +260,6 @@ def _score_bucket_core(bkid, sid, uid, uniq_strs, max_distance: int, algorithm: 
     # are the rows after it up to its length + n (lossless for every
     # algorithm).  ``block * span + length`` keeps blocks apart, so one
     # searchsorted finds every row's partner range ------------------------
-    lens = np.fromiter((len(x) for x in uniq_strs), np.int64, count=len(uniq_strs))
     gs = s[head]
     key = b[head] * (int(lens.max(initial=0)) + n + 1) + lens[gs]
     order = np.argsort(key, kind="stable")

@@ -102,7 +102,7 @@ def test_restriction_does_not_leak():
 
 
 def test_batch_vectorized_parity_random():
-    """The vectorized batch kernel (length-grouped, banded under cap) must
+    """The vectorized batch kernel (banded under cap) must
     match the per-pair DP exactly, including restricted rules and caps."""
     import random
 

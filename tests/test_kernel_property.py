@@ -125,6 +125,93 @@ def test_batch_distances_equal_dp(pairs, n, alg):
         assert int(g) == min(dp(a, b), n + 1), (a, b, n, alg)
 
 
+@st.composite
+def long_mixed_pairs(draw):
+    """Up to 25 pairs whose queries run 0-150 chars (past every old 16/32/64
+    length group, and many lengths per batch, so the active pair prefix
+    shrinks at many rows); each term is its query after 0-4 random edits,
+    or an unrelated string; str (NUL included) or bytes."""
+    alphabet = "ab\x00é"
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=25))):
+        size = draw(st.integers(min_value=0, max_value=150))
+        q = draw(st.text(alphabet=alphabet, min_size=size, max_size=size))
+        t = list(q)
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            at = draw(st.integers(min_value=0, max_value=len(t)))
+            op = draw(st.sampled_from(["ins", "del", "sub", "swap"]))
+            if op == "ins" or not t:
+                t.insert(at, draw(st.sampled_from(alphabet)))
+            elif op == "del":
+                del t[min(at, len(t) - 1)]
+            elif op == "sub":
+                t[min(at, len(t) - 1)] = draw(st.sampled_from(alphabet))
+            elif at + 1 < len(t):
+                t[at], t[at + 1] = t[at + 1], t[at]
+        t = "".join(t) if draw(st.integers(0, 4)) else draw(st.text(alphabet, max_size=150))
+        pairs.append((q, t))
+    if draw(st.booleans()):
+        pairs = [(q.encode(), t.encode()) for q, t in pairs]
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=long_mixed_pairs(), n=st.integers(min_value=0, max_value=3),
+       alg=st.sampled_from(ALGORITHMS))
+def test_batch_distances_long_mixed_lengths_equal_dp(pairs, n, alg):
+    from liblevenshtein_rust_ray.kernel.vectorized import batch_distances
+
+    dp = distance_fn(alg)
+    got = batch_distances([q for q, _ in pairs], [t for _, t in pairs], n, alg)
+    for (a, b), g in zip(pairs, got):
+        assert int(g) == min(dp(a, b), n + 1), (a, b, n, alg)
+
+
+def test_batch_distances_nul_strings():
+    """Strings that differ only after a NUL keep distinct codes (pandas'
+    string factorize stops at NUL), in both batch kernels."""
+    from liblevenshtein_rust_ray.kernel.operations import (
+        OperationSet,
+        batch_weighted_distances,
+    )
+    from liblevenshtein_rust_ray.kernel.vectorized import batch_distances
+
+    qs, ts = ["\x00a", "", "x\x00"], ["\x00b", "\x00", "x\x00"]
+    for alg in ALGORITHMS:
+        assert batch_distances(qs, ts, 2, alg).tolist() == [1, 1, 0]
+    assert batch_weighted_distances(qs, ts, OperationSet.standard()).tolist() == [1, 1, 0]
+
+
+def test_batch_distances_beyond_one_chunk():
+    """A deterministic batch of more pairs than one kernel chunk (8,192),
+    checked against the DP on a seeded sample, for every algorithm."""
+    import random
+
+    from liblevenshtein_rust_ray.kernel.vectorized import batch_distances
+
+    rng = random.Random(11)
+    base = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 60)))
+            for _ in range(3000)]
+    qs, ts = [], []
+    for _ in range(10_000):
+        q = rng.choice(base)
+        t = list(q)
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(t))
+            if rng.random() < 0.5 or not t:
+                t.insert(at, rng.choice("abc"))
+            else:
+                del t[min(at, len(t) - 1)]
+        qs.append(q)
+        ts.append("".join(t))
+    sample = rng.sample(range(len(qs)), 300)
+    for alg in ALGORITHMS:
+        dp = distance_fn(alg)
+        got = batch_distances(qs, ts, 2, alg)
+        for i in sample:
+            assert int(got[i]) == min(dp(qs[i], ts[i]), 3), (qs[i], ts[i], alg)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     pairs=st.lists(

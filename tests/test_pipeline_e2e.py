@@ -178,7 +178,12 @@ def _dp_scan_edges(pages, max_distance=2):
     from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch
     from liblevenshtein_rust_ray.stages.extract import extract_batch
 
-    keys = blocking_keys_batch(extract_batch(pages)).to_pandas()
+    # grouped by Python dicts: pandas' string hashing stops at a NUL, so a
+    # pandas groupby merges block keys (and titles) that differ after one
+    keys = blocking_keys_batch(extract_batch(pages))
+    blocks: dict = {}
+    for k, u, s in zip(*(keys.column(c).to_pylist() for c in ("block_key", "url", "key_string"))):
+        blocks.setdefault(k, {}).setdefault(s, []).append(u)
     best = {}
 
     def add(a, b, d):
@@ -186,11 +191,12 @@ def _dp_scan_edges(pages, max_distance=2):
             k = (min(a, b), max(a, b))
             best[k] = min(best.get(k, d), d)
 
-    for _key, g in keys.groupby("block_key"):
-        rep = g.groupby("key_string")["url"].min()
-        for s, u in zip(g["key_string"], g["url"]):
-            add(rep[s], u, 0)
-        titles = sorted(rep.index)
+    for by_title in blocks.values():
+        rep = {s: min(us) for s, us in by_title.items()}
+        for s, us in by_title.items():
+            for u in us:
+                add(rep[s], u, 0)
+        titles = sorted(rep)
         for i, s in enumerate(titles):
             for t in titles[i + 1:]:
                 p = len(os.path.commonprefix([s, t]))
@@ -203,8 +209,11 @@ def _dp_scan_edges(pages, max_distance=2):
 
 
 def _sorted_edges(ds):
-    return (ds.to_pandas().sort_values(["url_a", "url_b"])
-            .reset_index(drop=True))
+    # sorted in Python: pandas' multi-key sort factorizes, and its string
+    # hashing stops at a NUL, so urls that differ after one tie
+    df = ds.to_pandas()
+    order = sorted(range(len(df)), key=lambda i: (df["url_a"].iat[i], df["url_b"].iat[i]))
+    return df.iloc[order].reset_index(drop=True)
 
 
 def _with_duplicates(tab, n=10):
@@ -592,3 +601,28 @@ def test_er_pairs_plans_agree_on_adversarial_pages(pages):
         dist = _sorted_edges(er_pairs(pages))
     pd.testing.assert_frame_equal(local, dist)
     assert list(local.itertuples(index=False, name=None)) == _dp_scan_edges(pages)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_er_pairs_all_pairs_keeps_nul_title_blocks_apart():
+    """Exact-title keys that differ only after a NUL are separate blocks
+    for the all-pairs scorer too: the two h1 titles share a token block,
+    the h2 title shares no block with them and must not be paired.  One
+    hash bucket puts all three exact keys in one scorer call."""
+    import pyarrow as pa
+
+    from liblevenshtein_rust_ray.sources.pages import PAGES_SCHEMA
+
+    urls = ["https://h1.com/1", "https://h1.com/2", "https://h2.com/1"]
+    titles = ["alpha beta\x00x", "alpha beta\x00y", "alpha beta\x00z"]
+    pages = pa.table({
+        "url": urls,
+        "warc_ts": pa.array([0, 1, 2], type=pa.timestamp("us")),
+        "html": pa.array([b""] * 3, type=pa.binary()),
+        "text": [f"{t}\nbody" for t in titles],
+        "lang": ["en"] * 3,
+    }, schema=PAGES_SCHEMA)
+    want = _dp_scan_edges(pages)
+    assert want == [("https://h1.com/1", "https://h1.com/2", 1)]
+    got = _sorted_edges(er_pairs(pages, emit_all_pairs=True, n_buckets=1))
+    assert list(got.itertuples(index=False, name=None)) == want

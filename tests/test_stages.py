@@ -11,7 +11,7 @@ from liblevenshtein_rust_ray.stages.extract import (
     extract_batch,
     extract_text_from_html,
 )
-from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch, keys_for_title
+from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch
 from liblevenshtein_rust_ray.stages.scorer import BlockScorer
 from liblevenshtein_rust_ray.kernel import distance_fn, standard_distance
 
@@ -51,18 +51,75 @@ def test_extract_deterministic():
     assert extract_text_from_html(h) == "A Title\nx y z"
 
 
+def _extract_by_regex(html: bytes) -> str:
+    """extract_text_from_html as first written, whitespace collapsed by the
+    ``\\s+`` regex: the reference its str.split() form must equal."""
+    import re
+
+    if not html:
+        return ""
+    title_re = re.compile(rb"<title>(.*?)</title>", re.S)
+    m = title_re.search(html)
+    title = m.group(1).decode("utf-8", "replace") if m else ""
+    body = re.sub(rb"<[^>]+>", b" ", title_re.sub(b" ", html)).decode("utf-8", "replace")
+    body = re.sub(r"\s+", " ", body).strip()
+    title = re.sub(r"\s+", " ", title).strip()
+    return f"{title}\n{body}" if title else body
+
+
+def test_extract_whitespace_every_space_codepoint():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert {"\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"} <= set(spaces)
+    for w in spaces:
+        html = f"{w}<title>{w}a{w}{w}b{w}</title>{w}x<p>{w}y{w}z".encode()
+        assert extract_text_from_html(html) == _extract_by_regex(html), repr(w)
+    html = ("<title>" + "t".join(spaces) + "</title>" + "".join(spaces) + "b").encode()
+    assert extract_text_from_html(html) == _extract_by_regex(html)
+
+
+_HTML_PARTS = [b"<title>", b"</title>", b"<title", b"</p>", b"<", b">", b" ", b"\n",
+               b"\xc2\xa0", b"\xe2\x80\xa8", b"\xe3\x80\x80", b"\x1c", b"\x85",
+               b"\xc2", b"\xff", b"\xed\xa0\x80", b"a", b"B\xc3\xa9"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_HTML_PARTS), st.binary(max_size=6)), max_size=30))
+def test_extract_whitespace_equals_regex(parts):
+    html = b"".join(parts)
+    assert extract_text_from_html(html) == _extract_by_regex(html)
+
+
+def _block_keys(rows):
+    """url -> set of block keys, from the pipeline's blocking kernel."""
+    out = blocking_keys_batch(pa.table({"url": [u for u, _ in rows],
+                                        "title": [t for _, t in rows]}))
+    keys: dict = {u: set() for u, _ in rows}
+    for k, u in zip(out.column("block_key").to_pylist(), out.column("url").to_pylist()):
+        keys[u].add(k)
+    return keys
+
+
 def test_blocking_token_guarantee():
     # <=2 char edits touch <=2 token regions -> a shared token always remains
     a = "alpha beta gamma delta"
     b = "alXha beta gamma deltaZ"  # 2 edits
-    ka = set(keys_for_title("h", a))
-    kb = set(keys_for_title("h", b))
-    assert ka & kb
-    # identical titles across hosts share the global exact key
-    k1 = set(keys_for_title("h1", a))
-    k2 = set(keys_for_title("h2", a))
-    assert any(k.startswith("x|") for k in k1 & k2)
-    assert keys_for_title("h", "") == []
+    k = _block_keys([("https://h/a", a), ("https://h/b", b),
+                     ("https://h1/1", a), ("https://h2/2", a), ("https://h/e", "")])
+    assert k["https://h/a"] & k["https://h/b"]
+    # identical titles across hosts share the global exact key, the title
+    # under a '/' that no token key ('{host}|t|...') can start with
+    assert k["https://h1/1"] & k["https://h2/2"] == {"/" + a}
+    assert not any(x.startswith("/") for x in k["https://h/a"] - {"/" + a})
+    assert k["https://h/e"] == set()
+
+
+def test_blocking_keys_unicode_space_and_schemeless():
+    """Titles split on RE2's ASCII ``\\s`` (``\\xa0`` and ``\\v`` stay inside a
+    token); urls without a scheme block under host 'unknown'."""
+    k = _block_keys([("//a.com/1", "p\xa0q r\vs t"), ("https://a.com/2", "p q")])
+    assert k["//a.com/1"] == {"/p\xa0q r\vs t", "unknown|t|p\xa0q|0",
+                              "unknown|t|r\vs|0", "unknown|t|t|0"}
+    assert k["https://a.com/2"] == {"/p q", "a.com|t|p|0", "a.com|t|q|0"}
 
 
 def test_blocking_batch_explodes():
@@ -452,10 +509,10 @@ def test_blocking_recall_property():
     import random
 
     from liblevenshtein_rust_ray.functions.typogen import TypoGenerator
-    from liblevenshtein_rust_ray.stages.blocking import keys_for_title
 
     rng = random.Random(17)
     alpha = "abcdefgh"
+    rows = []
     for trial in range(300):
         n_tok = rng.randint(3, 7)
         title = " ".join(
@@ -464,9 +521,11 @@ def test_blocking_recall_property():
         )
         g = TypoGenerator(seed=trial)
         perturbed = g.generate_typos(title, rng.randint(0, 2))
-        ka = set(keys_for_title("host", title))
-        kb = set(keys_for_title("host", perturbed))
-        assert ka & kb, (title, perturbed)
+        rows += [(f"https://host/{trial}a", title), (f"https://host/{trial}b", perturbed)]
+    keys = _block_keys(rows)
+    for trial in range(300):
+        (_, title), (_, perturbed) = rows[2 * trial], rows[2 * trial + 1]
+        assert keys[f"https://host/{trial}a"] & keys[f"https://host/{trial}b"], (title, perturbed)
 
 
 @pytest.mark.usefixtures("ray_session")
