@@ -105,7 +105,7 @@ def _docs_as_pages(sf_dir: str, keep: str | None = None):
 
 # ======================================================================
 def entry() -> Any:
-    """Flagship: pages -> blocking -> automaton scoring -> clusters."""
+    """Flagship: pages -> blocking -> banded-DP scoring -> clusters."""
     from liblevenshtein_rust_ray.pipelines.context import configure_data_context
     from liblevenshtein_rust_ray.pipelines.entity_resolution import er_clusters
 
@@ -1542,7 +1542,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return out.map_batches(fin, batch_format="pandas")
 
     def er_pairs_allpairs(sf_dir):
-        """The flagship ER pipeline (extract -> blocking -> automaton
+        """The flagship ER pipeline (extract -> blocking -> banded-DP
         scoring -> pair dedup) made SQL-oracle-checkable: pages synthesized
         deterministically from the documents view (url from doc_id, title =
         first 5 [a-z0-9]+ tokens of the text), ``emit_all_pairs=True`` so
@@ -1587,7 +1587,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def er_pairs_allpairs_transposition_d1(sf_dir):
         """The ER all-pairs flagship under the transposition algorithm at
         n=1, where OSA == unrestricted Damerau — so the whole blocking +
-        automaton-scoring chain is damerau_levenshtein-oracle-checked
+        scoring chain is damerau_levenshtein-oracle-checked
         (er_pairs_allpairs_transposition below covers n=2 via the
         recursive-CTE OSA DP)."""
         import pandas as pd

@@ -21,6 +21,19 @@ def hash64(data: str | bytes) -> int:
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
+def hash64_distinct(values) -> np.ndarray:
+    """:func:`hash64` of every string of an Arrow array, as uint64, each
+    DISTINCT string hashed once.  ``pc.dictionary_encode`` hashes whole
+    strings; ``pd.factorize`` would merge strings that differ only after a
+    NUL (pandas' string hash stops at one)."""
+    import pyarrow.compute as pc
+
+    d = pc.dictionary_encode(values)
+    uniq = d.dictionary.to_pylist()
+    uh = np.fromiter((hash64(x) for x in uniq), dtype=np.uint64, count=len(uniq))
+    return uh[d.indices.to_numpy()]
+
+
 def simhash64(features: list[str]) -> int:
     """Classic Charikar simhash: per-bit majority vote over feature hashes."""
     if not features:

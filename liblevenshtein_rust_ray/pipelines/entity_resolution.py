@@ -7,7 +7,7 @@ Dataflow (Arrow batches)::
       -> extract_batch                  canonical text + title, html dropped
       -> blocking_keys_batch            explode to (block_key, url, key_string)
       -> score_bucket_vectorized_arrow  per hash bucket of block_key
-         (score_bucket_all_pairs_arrow with emit_all_pairs=True)
+         (emit_all_pairs=True expands its edges to every url pair)
       -> min-dedup on (url_a, url_b)    a pair arrives via several keys
       -> connected_components           -> (url, cluster_id)
 
@@ -33,8 +33,7 @@ from ..stages.extract import extract_batch, EXTRACTOR_VERSION
 from ..stages.cluster import connected_components
 from ..stages.grouped import bucketed_apply_arrow
 from ..stages.scorer import (
-    EDGE_COLUMNS, _edges_schema, _empty_edges_arrow,
-    score_bucket_all_pairs_arrow, score_bucket_vectorized_arrow,
+    EDGE_COLUMNS, _edges_schema, _empty_edges_arrow, score_bucket_vectorized_arrow,
 )
 from ..state.checkpoint import CheckpointManager
 
@@ -176,17 +175,15 @@ def _key_rows(source):
     return ds.map_batches(blocking_keys_batch, batch_format="pyarrow")
 
 
-def _scorer(emit_all_pairs: bool):
-    return score_bucket_all_pairs_arrow if emit_all_pairs else score_bucket_vectorized_arrow
-
-
 def _pairs_fingerprint(fingerprint, max_distance, algorithm, emit_all_pairs) -> str:
     """Every input that changes the edge set, so a checkpoint is never
     re-served to a call that would compute different edges.  Fingerprints
     that end in ``|cap<N>`` were written by the salting scorer, whose
-    edges missed pairs; they never equal these, so they recompute."""
+    edges missed pairs, and ones that end in ``|all1`` by the all-pairs
+    scorer that could pair a url with itself; they never equal these, so
+    they recompute."""
     return (f"{fingerprint}|x{EXTRACTOR_VERSION}|d{max_distance}|{algorithm}"
-            f"|all{int(emit_all_pairs)}")
+            f"|all{2 if emit_all_pairs else 0}")
 
 
 def er_pairs(
@@ -205,17 +202,14 @@ def er_pairs(
     url pairs are min-deduped (the same title pair co-occurs under several
     blocking keys; a scorer call runs the DP once per distinct title pair
     of a batch, and deduping pairs across buckets cost more exchange than
-    it saved — docs/SCALE.md section 5).  ``emit_all_pairs`` picks the scorer:
+    it saved — docs/SCALE.md section 5).  The scorer is
+    :func:`score_bucket_vectorized_arrow`, the numpy banded-DP kernel (the
+    reference's SIMD distance-matrix path).  By default it emits distance-0
+    stars for identical titles and one representative edge per matching
+    title pair; ``emit_all_pairs=True`` expands those to every url pair
+    within ``max_distance`` (the quadratic SQL-oracle semantics).
 
-    * ``False`` (default) — :func:`score_bucket_vectorized_arrow`, the
-      numpy banded-DP kernel (the reference's SIMD distance-matrix path):
-      distance-0 stars for identical titles, one representative edge per
-      matching title pair.
-    * ``True`` — :func:`score_bucket_all_pairs_arrow`, ``BlockScorer``'s
-      per-block trie + automaton traversal emitting every url pair: the
-      quadratic SQL-oracle semantics.
-
-    The default scorer runs as a local plan in the driver, with no
+    ``er_pairs`` runs as a local plan in the driver, with no
     exchange, when :func:`_page_count` knows the page count and it is at
     most :func:`_local_max_pages` for the Ray cluster's CPU count;
     everything else runs the distributed plan (an exchange on
@@ -236,8 +230,8 @@ def er_pairs(
     ck = checkpoints or CheckpointManager("", enabled=False)
     fp = _pairs_fingerprint(fingerprint, max_distance, algorithm, emit_all_pairs)
     stats = {} if stats is None else stats
-    score_kw = dict(max_distance=max_distance, algorithm=algorithm)
-    scorer = _scorer(emit_all_pairs)
+    score_kw = dict(max_distance=max_distance, algorithm=algorithm,
+                    emit_all_pairs=emit_all_pairs)
 
     def compute():
         import ray.data as rd
@@ -246,8 +240,7 @@ def er_pairs(
 
         configure_data_context()
         pages = _page_count(source)
-        if (not emit_all_pairs and pages is not None
-                and pages <= _local_max_pages(_cluster_cpus())):
+        if pages is not None and pages <= _local_max_pages(_cluster_cpus()):
             return rd.from_arrow(_local_pairs(source, stats, **score_kw))
         nb = n_buckets if n_buckets is not None else _auto_buckets(pages)
         stats.update(plan="distributed", pages=pages, n_buckets=nb)
@@ -257,7 +250,8 @@ def er_pairs(
         # each bucket's DISTINCT strings cross into Python, for the DP
         # kernel).
         edges = bucketed_apply_arrow(
-            _key_rows(source), "block_key", lambda tbl: scorer(tbl, **score_kw),
+            _key_rows(source), "block_key",
+            lambda tbl: score_bucket_vectorized_arrow(tbl, **score_kw),
             n_buckets=nb, empty_result=_empty_edges_arrow(),
         )
         # bucket by the full pair: raw scorer pairs rarely share an
@@ -322,19 +316,17 @@ def er_pipeline(source, out_dir: str | None = None, output_partitions: int | Non
 
 
 # ----------------------------------------------------------------------
-def _rescore_blocks(keys, base_pairs, removed, emit_all_pairs, score_kw):
+def _rescore_blocks(keys, base_pairs, removed, score_kw):
     """The shared half of :func:`er_pairs_incremental` and
     :func:`er_pairs_decremental`.  ``keys`` are key rows with a boolean
     ``__flag``: a new page's rows, or, when ``removed`` (a ``ray.put``
     string array of the removed urls) is given, a removed page's.  Only
     blocks holding a flagged row are rescored — over their unflagged rows
-    when removing — by ``er_pairs``' scorer for ``emit_all_pairs``;
+    when removing — by ``er_pairs``' scorer with ``score_kw``;
     ``base_pairs`` edges touching a removed url are dropped, and base and
     rescored edges merge by min distance per url pair."""
     import pyarrow.compute as pc
     import ray
-
-    scorer = _scorer(emit_all_pairs)
 
     def score_hot(t: pa.Table) -> pa.Table:
         flag = t["__flag"]
@@ -342,7 +334,8 @@ def _rescore_blocks(keys, base_pairs, removed, emit_all_pairs, score_kw):
                         value_set=pc.unique(pc.filter(t["block_key"], flag)))
         if removed is not None:
             keep = pc.and_(keep, pc.invert(flag))
-        return scorer(t.filter(keep).drop_columns(["__flag"]), **score_kw)
+        return score_bucket_vectorized_arrow(t.filter(keep).drop_columns(["__flag"]),
+                                             **score_kw)
 
     def base_edges(t: pa.Table) -> pa.Table:
         t = t.select(EDGE_COLUMNS).cast(_edges_schema())
@@ -399,8 +392,8 @@ def er_pairs_incremental(
             batch_format="pyarrow")
 
     keys = flagged(old_source, False).union(flagged(new_source, True))
-    return _rescore_blocks(keys, base_pairs, None, emit_all_pairs, dict(
-        max_distance=max_distance, algorithm=algorithm))
+    return _rescore_blocks(keys, base_pairs, None, dict(
+        max_distance=max_distance, algorithm=algorithm, emit_all_pairs=emit_all_pairs))
 
 
 # ----------------------------------------------------------------------
@@ -445,8 +438,8 @@ def er_pairs_decremental(
         return t.append_column("__flag", pc.is_in(t["url"], value_set=ray.get(rm_ref)))
 
     keys = _key_rows(old_source).map_batches(flag_removed, batch_format="pyarrow")
-    return _rescore_blocks(keys, base_pairs, rm_ref, emit_all_pairs, dict(
-        max_distance=max_distance, algorithm=algorithm))
+    return _rescore_blocks(keys, base_pairs, rm_ref, dict(
+        max_distance=max_distance, algorithm=algorithm, emit_all_pairs=emit_all_pairs))
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ store) unless the kernel genuinely needs pandas.
 
 from .extract import extract_batch, extract_text_from_html
 from .blocking import blocking_keys_batch, BLOCK_BANDS
-from .scorer import BlockScorer
 from .cluster import connected_components
 from .urls import (
     canonicalize_urls,
@@ -32,7 +31,6 @@ __all__ = [
     "extract_text_from_html",
     "blocking_keys_batch",
     "BLOCK_BANDS",
-    "BlockScorer",
     "ann_brute_topk",
     "ann_ivf_topk",
     "ann_lsh_topk",

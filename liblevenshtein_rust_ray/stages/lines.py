@@ -9,10 +9,11 @@ Documents whose every line is boilerplate drop out entirely.
 Scale shape (the part that matters at 100 TB):
 
 * pass 1 (count) — a stateless ``map_batches`` splits each doc into lines
-  (vectorized Arrow kernel), hashes each DISTINCT line per batch (factorize
-  first: boilerplate repeats heavily inside a batch too), and pre-aggregates
-  ``(line_hash, cnt)`` partials, so the ONE count exchange carries 16-byte
-  rows per distinct-line-per-block — never the corpus text.
+  (vectorized Arrow kernel), hashes each DISTINCT line per batch (Arrow
+  dictionary-encode first: boilerplate repeats heavily inside a batch too),
+  and pre-aggregates ``(line_hash, cnt)`` partials, so the ONE count
+  exchange carries 16-byte rows per distinct-line-per-block — never the
+  corpus text.
 * the common set (lines with df ≥ ``min_df``) is proportional to the
   boilerplate vocabulary, orders of magnitude smaller than the corpus; it is
   broadcast once via ``ray.put`` and read zero-copy in every rewrite task.
@@ -41,30 +42,25 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.simhash import hash64
+from ..functions.simhash import hash64_distinct
 
 def _split_lines(t: pa.Table, text_col: str):
-    """Vectorized line split: (flat object ndarray, per-doc line counts)."""
+    """Vectorized line split: (lines as an Arrow string array, per-doc line
+    counts)."""
     col = t.column(text_col)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     col = col.fill_null("")
     lst = pc.split_pattern(col, pattern="\n")
-    flat = lst.values.to_numpy(zero_copy_only=False)
     counts = np.diff(lst.offsets.to_numpy())
-    return flat, counts.astype(np.int64)
+    return lst.values, counts.astype(np.int64)
 
 
-def _hash_lines(flat: np.ndarray) -> np.ndarray:
+def _hash_lines(lines) -> np.ndarray:
     """64-bit blake2b hash per line, reinterpreted as int64 (Arrow-native —
     uint64 values above 2^63 would force Ray's groupby into a pickled-object
     fallback).  Hash each DISTINCT line once."""
-    codes, uniques = pd.factorize(flat)
-    if len(uniques) == 0:
-        return np.empty(0, dtype=np.int64)
-    uh = np.fromiter((hash64(x) for x in uniques), dtype=np.uint64,
-                     count=len(uniques)).view(np.int64)
-    return uh[codes]
+    return hash64_distinct(lines).view(np.int64)
 
 
 def line_dedup(ds, text_col: str, id_col: str, min_df: int = 2,
@@ -81,9 +77,8 @@ def line_dedup(ds, text_col: str, id_col: str, min_df: int = 2,
     import ray
 
     def partial_counts(t: pa.Table) -> pa.Table:
-        flat, _ = _split_lines(t, text_col)
-        h = _hash_lines(flat)
-        hs, cnts = np.unique(h, return_counts=True)
+        lines, _ = _split_lines(t, text_col)
+        hs, cnts = np.unique(_hash_lines(lines), return_counts=True)
         return pa.table({
             "line_hash": pa.array(hs, type=pa.int64()),
             "cnt": pa.array(cnts.astype(np.int64)),
@@ -108,20 +103,13 @@ def line_dedup(ds, text_col: str, id_col: str, min_df: int = 2,
 
         def rewrite(t: pa.Table) -> pa.Table:
             drop_set = ray.get(ref)  # zero-copy from the local store
-            flat, per_doc = _split_lines(t, text_col)
-            codes, uniques = pd.factorize(flat)
-            if len(uniques):
-                uh = np.fromiter((hash64(x) for x in uniques),
-                                 dtype=np.uint64,
-                                 count=len(uniques)).view(np.int64)
-                drop = np.isin(uh, drop_set)[codes]
-            else:
-                drop = np.empty(0, dtype=bool)
-            keep = ~drop
+            lines, per_doc = _split_lines(t, text_col)
+            keep = ~np.isin(_hash_lines(lines), drop_set)
             doc_idx = np.repeat(np.arange(len(per_doc)), per_doc)
             n_kept = np.bincount(doc_idx[keep], minlength=len(per_doc)) \
                 .astype(np.int64)
             kept_doc = doc_idx[keep]
+            flat = lines.to_numpy(zero_copy_only=False)
             joined = pd.Series(flat[keep]).groupby(kept_doc).agg("\n".join)
             alive = n_kept > 0
             ids = t.column(id_col).to_pandas().to_numpy()[alive]
@@ -142,8 +130,8 @@ def line_dedup(ds, text_col: str, id_col: str, min_df: int = 2,
     from .grouped import bucketed_apply
 
     def explode(t: pa.Table) -> pa.Table:
-        flat, per_doc = _split_lines(t, text_col)
-        h = _hash_lines(flat)
+        lines, per_doc = _split_lines(t, text_col)
+        h = _hash_lines(lines)
         doc_idx = np.repeat(np.arange(len(per_doc)), per_doc)
         ids = t.column(id_col).to_pandas().to_numpy()
         pos = np.concatenate([np.arange(n) for n in per_doc]) \
@@ -151,7 +139,7 @@ def line_dedup(ds, text_col: str, id_col: str, min_df: int = 2,
         return pa.table({
             id_col: pa.array(ids[doc_idx]),
             "pos": pa.array(pos.astype(np.int64)),
-            "line": pa.array(flat.tolist(), type=pa.string()),
+            "line": lines.cast(pa.string()),
             "line_hash": pa.array(h, type=pa.int64()),
             "n_total": pa.array(per_doc[doc_idx]),
         })

@@ -1,21 +1,13 @@
 """Per-block pairwise scoring — the heart of the engine.
 
-Two bucket scorers with one signature,
+One bucket scorer, :func:`score_bucket_vectorized_arrow`:
 ``(pa.Table of (block_key, url, key_string), max_distance, algorithm)
--> pa.Table of (url_a, url_b, distance)``, each run once per hash bucket
-of ``block_key`` (``er_pairs`` picks one):
-
-* :func:`score_bucket_vectorized_arrow` (default) — integer codes and the
-  numpy banded-DP kernel over the whole bucket, representative edges.
-* :func:`score_bucket_all_pairs_arrow` (``emit_all_pairs``) — per block,
-  ``BlockScorer``: dedup the block's strings, build a trie over the
-  distinct strings (cheap — the reference builds 10k-term indexes in
-  ~3 ms, docs/benchmarks/FINAL_BACKEND_COMPARISON.md:19-26) and run the
-  intersected automaton-trie traversal per distinct string: the SQL-oracle
-  semantics.
-
-Both emit canonical edges ``(url_a, url_b, distance)`` with
-``url_a < url_b``, and both are exact: every same-block string pair
+-> pa.Table of (url_a, url_b, distance)``, run once per hash bucket of
+``block_key`` (or once over the whole key table, in ``er_pairs``' local
+plan).  It works on integer codes and batched calls into the numpy
+banded-DP kernel (kernel.vectorized — the reference's SIMD distance
+matrix, src/distance/simd.rs).  Its edges are canonical (``url_a <
+url_b``), deduped by min distance, and exact: every same-block string pair
 within ``max_distance`` is found.  Scale design decisions (north rule):
 
 * **Identical strings collapse.**  k urls sharing one string produce a
@@ -23,140 +15,31 @@ within ``max_distance`` is found.  Scale design decisions (north rule):
   k(k-1)/2 pairs — transitively equivalent for clustering and linear, not
   quadratic, in block size.
 * **Cross-string matches connect representatives.**  One edge per matching
-  string pair (min-url of each side).  ``emit_all_pairs=True`` restores the
-  full quadratic pair set for small-scale parity checks.
+  string pair (min-url of each side).
+* **``emit_all_pairs=True`` expands the same edges** into the quadratic
+  SQL-oracle pair set: each identical-string group emits its clique, and
+  each matching string pair the cross product of its two groups' urls.
+  Only the expansion differs; blocking, candidates and the DP are shared.
 * **Length-banded candidate tiles, filtered before they are deduped.**
-  One edit changes a length by at most 1, so the vectorized scorer pairs
-  each string only with the strings of its block within ``max_distance``
-  in length, in tiles of at most ``PAIR_TILE``.  A tile keeps the pairs
-  that pass two char signatures built once per bucket (a 64-bin histogram
-  and its presence mask); the survivors are deduped and scored in DP
-  batches of about ``PAIR_TILE``.  Every step is lossless, and a hot block
-  costs time in proportion to its banded pairs, never memory in
-  proportion to its triangle.
-* Traversal state (automaton transition memos) is per-query; the trie is
-  per-group.  Parallelism is across buckets (Ray tasks), never inside a
-  traversal (reference pool.rs:43-47).
+  One edit changes a length by at most 1, so the scorer pairs each string
+  only with the strings of its block within ``max_distance`` in length, in
+  tiles of at most ``PAIR_TILE``.  A tile keeps the pairs that pass two
+  char signatures built once per bucket (a 64-bin histogram and its
+  presence mask); the survivors are deduped and scored in DP batches of
+  about ``PAIR_TILE``.  Every step is lossless, and a hot block costs time
+  in proportion to its banded pairs, never memory in proportion to its
+  triangle.
+* Parallelism is across buckets (Ray tasks), never inside one.
 """
 
-import pandas as pd
-
-from ..kernel import STANDARD, build_trie
-from ..kernel.query import query as kernel_query
+from ..kernel import STANDARD
 
 EDGE_COLUMNS = ["url_a", "url_b", "distance"]
-# Candidate string pairs the vectorized scorer generates and filters at
-# once, and the survivors it holds before a DP batch (docs/SCALE.md §16).
+# Candidate string pairs the scorer generates and filters at once, and the
+# survivors it holds before a DP batch (docs/SCALE.md §16).
 PAIR_TILE = 65_536
 
 
-def _empty_edges() -> pd.DataFrame:
-    return pd.DataFrame({"url_a": pd.Series(dtype="object"),
-                         "url_b": pd.Series(dtype="object"),
-                         "distance": pd.Series(dtype="int32")})
-
-
-class BlockScorer:
-    """Scores one block: a pandas frame of (block_key, url, key_string)
-    rows sharing a ``block_key``."""
-
-    def __init__(
-        self,
-        max_distance: int = 2,
-        algorithm: str = STANDARD,
-        emit_all_pairs: bool = False,
-        subst=None,
-    ):
-        self.n = max_distance
-        self.algorithm = algorithm
-        self.emit_all_pairs = emit_all_pairs
-        self.subst = subst
-
-    # -- public: one co-located block ----------------------------------
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        strings = group["key_string"].to_numpy()
-        urls = group["url"].to_numpy()
-
-        by_string: dict[str, list] = {}
-        for s, u in zip(strings, urls):
-            by_string.setdefault(s, []).append(u)
-        for v in by_string.values():
-            v.sort()
-
-        out_a, out_b, out_d = [], [], []
-
-        # distance-0 edges for identical strings: star to the min url by
-        # default (linear); full quadratic pair set in emit_all_pairs mode
-        # (small-scale parity / SQL-oracle mode)
-        for us in by_string.values():
-            ud = sorted(set(us))  # dup rows (repeated tokens) collapse
-            for i in range(len(ud) if self.emit_all_pairs else 1):
-                for j in range(i + 1, len(ud)):
-                    out_a.append(ud[i])
-                    out_b.append(ud[j])
-                    out_d.append(0)
-
-        self._score_distinct(sorted(by_string), by_string, out_a, out_b, out_d)
-
-        if not out_a:
-            return _empty_edges()
-        df = pd.DataFrame({"url_a": out_a, "url_b": out_b, "distance": out_d})
-        df["distance"] = df["distance"].astype("int32")
-        return df
-
-    # -- automaton-trie scoring over distinct strings ------------------
-    def _score_distinct(self, distinct, by_string, out_a, out_b, out_d):
-        if len(distinct) < 2:
-            return
-        trie = build_trie(distinct)
-        for q in distinct:
-            for cand in kernel_query(trie, q, self.n, self.algorithm, subst=self.subst):
-                t = cand.term
-                if t <= q:
-                    continue  # canonical ordering: each string pair once
-                k = None if self.emit_all_pairs else 1  # else min urls only
-                for ua in by_string[q][:k]:
-                    for ub in by_string[t][:k]:
-                        a, b = (ua, ub) if ua < ub else (ub, ua)
-                        out_a.append(a)
-                        out_b.append(b)
-                        out_d.append(cand.distance)
-
-
-def score_bucket_all_pairs_arrow(
-    tbl,
-    max_distance: int = 2,
-    algorithm: str = STANDARD,
-):
-    """(block_key, url, key_string) rows -> every url pair within
-    ``max_distance`` per block, through ``BlockScorer(emit_all_pairs=True)``:
-    the quadratic SQL-oracle semantics (identical strings give a distance-0
-    clique, not a star, and every url of a matching string pair is paired).
-    Pairs are not deduplicated across blocks; callers min-dedup them."""
-    import pyarrow as pa
-
-    scorer = BlockScorer(max_distance=max_distance, algorithm=algorithm,
-                         emit_all_pairs=True)
-    # Arrow codes, not pandas: its str hash stops at a NUL and would merge blocks
-    bkid = tbl["block_key"].combine_chunks().dictionary_encode().indices.to_numpy()
-    outs = [scorer(g) for _key, g in tbl.to_pandas().groupby(bkid, sort=False)
-            if len(g) > 1]
-    outs = [o for o in outs if len(o)]
-    if not outs:
-        return _empty_edges_arrow()
-    return pa.Table.from_pandas(pd.concat(outs, ignore_index=True), schema=_edges_schema(),
-                                preserve_index=False).replace_schema_metadata(None)
-
-
-# ======================================================================
-# Vectorized bucket scorer — the production path.  The automaton path above
-# pays Python per traversal step, and blocks average a handful of rows;
-# ``score_bucket_vectorized_arrow`` scores a WHOLE hash bucket with integer
-# codes and batched calls into the numpy banded-DP kernel
-# (kernel.vectorized — the reference's SIMD distance matrix,
-# src/distance/simd.rs), with BlockScorer's representative-edge semantics.
-# Parity with BlockScorer and a DP scan is pinned by tests/test_stages.py.
-# ======================================================================
 def _edges_schema():
     import pyarrow as pa
 
@@ -195,16 +78,18 @@ def score_bucket_vectorized_arrow(
     max_distance: int = 2,
     algorithm: str = STANDARD,
     stats: dict | None = None,
+    emit_all_pairs: bool = False,
 ):
     """(block_key, url, key_string) rows -> canonical edges for the bucket:
     distance-0 stars for identical strings, one representative (min-url)
-    edge per distinct string pair within ``max_distance``.
+    edge per distinct string pair within ``max_distance``; with
+    ``emit_all_pairs``, every distinct url pair within ``max_distance`` of
+    each other in some block (the quadratic SQL-oracle semantics).
 
     The exchange hands us a ``pa.Table`` and we never materialize row-level
     Python strings — dictionary-encode in C, run the integer core, then
     ``take`` the output urls straight from the Arrow dictionary (only
-    distinct strings cross into Python, for the DP kernel).  Quadratic
-    SQL-oracle output goes through :func:`score_bucket_all_pairs_arrow`.
+    distinct strings cross into Python, for the DP kernel).
 
     ``stats``, if given, receives the candidate funnel:
     ``candidate_pairs`` (length-banded string pairs), ``signature_pairs``
@@ -219,13 +104,38 @@ def score_bucket_vectorized_arrow(
     bkid = pc.dictionary_encode(tbl["block_key"].combine_chunks()).indices.to_numpy()
     lens = pc.utf8_length(str_dict).to_numpy().astype(np.int64)
     lo, hi, dist = _score_bucket_core(bkid.astype(np.int64), sid, uid, str_dict.to_pylist(), lens,
-                                      max_distance, algorithm, {} if stats is None else stats)
+                                      max_distance, algorithm, {} if stats is None else stats,
+                                      emit_all_pairs)
     return pa.table({"url_a": url_dict.take(pa.array(lo)), "url_b": url_dict.take(pa.array(hi)),
                      "distance": pa.array(dist, type=pa.int32())}, schema=_edges_schema())
 
 
+def _pair_ranges(counts):
+    """Per-row pair counts -> ``(starts, ends)``: row ``i`` owns the pair
+    numbers ``[starts[i], ends[i])``, and ``ends[-1]`` pairs in all."""
+    import numpy as np
+
+    ends = np.cumsum(counts, dtype=np.int64)
+    return ends - counts, ends
+
+
+def _owners(starts, ends, p0: int = 0, p1: int | None = None):
+    """For the pair numbers ``p0..p1`` (default: all) of
+    :func:`_pair_ranges`' rows: each one's owner row and its rank among
+    that row's pairs — the "partners after me" expansion, built without
+    materializing more than ``p1 - p0`` pairs."""
+    import numpy as np
+
+    p1 = (int(ends[-1]) if len(ends) else 0) if p1 is None else p1
+    if p1 <= p0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    rows = np.arange(np.searchsorted(ends, p0, "right"), np.searchsorted(ends, p1) + 1)
+    i = np.repeat(rows, np.minimum(ends[rows], p1) - np.maximum(starts[rows], p0))
+    return i, np.arange(p0, p1) - starts[i]
+
+
 def _score_bucket_core(bkid, sid, uid, uniq_strs, lens, max_distance: int, algorithm: str,
-                       stats: dict):
+                       stats: dict, emit_all_pairs: bool = False):
     """All-integer bucket scoring: (block, string, url) id triples plus the
     distinct strings and their lengths -> deduped canonical edges
     ``(lo_url_idx, hi_url_idx, distance)``; funnel counts go to ``stats``.
@@ -233,7 +143,9 @@ def _score_bucket_core(bkid, sid, uid, uniq_strs, lens, max_distance: int, algor
     ``sid`` codes MUST be assigned in lexicographic string order
     (:func:`_sorted_codes` ranks them) — canonical pair order is an
     int comparison on sids, and distance-0 star representatives are the
-    min uid per (block, string) group."""
+    min uid per (block, string) group.  Scored string pairs are pairs of
+    those groups; ``emit_all_pairs`` expands each to every url pair of
+    the two groups instead of their representatives."""
     import numpy as np
 
     n = max_distance
@@ -245,54 +157,68 @@ def _score_bucket_core(bkid, sid, uid, uniq_strs, lens, max_distance: int, algor
     first[1:] = (b[1:] != b[:-1]) | (s[1:] != s[:-1]) | (u[1:] != u[:-1])
     b, s, u = b[first], s[first], u[first]
 
-    # --- distance-0 stars: k urls sharing (block, string) -> k-1 edges ---
-    # rows are sorted by (block, string, url), so the group head is the
-    # min url; every non-head row stars to it
+    # --- (block, string) groups: rows are sorted by (block, string, url),
+    # so a group is a run and its head row holds the min url --------------
     head = np.ones(len(b), dtype=bool)
     head[1:] = (b[1:] != b[:-1]) | (s[1:] != s[:-1])
+    g_start = np.flatnonzero(head)
+    g_size = np.diff(np.append(g_start, len(b)))
     grp = np.cumsum(head) - 1
-    rep_u = u[head]
-    star = ~head
-    out = [(rep_u[grp[star]], u[star], np.zeros(int(star.sum()), dtype=np.int64))]
+    rep_u = u[g_start]
+
+    # --- distance-0 edges: every non-head row stars to its head, or, for
+    # all pairs, pairs with every row after it in its group ---------------
+    if emit_all_pairs:
+        i, k = _owners(*_pair_ranges(g_start[grp] + g_size[grp] - np.arange(len(b)) - 1))
+        out = [(u[i], u[i + 1 + k], np.zeros(len(i), dtype=np.int64))]
+    else:
+        star = ~head
+        out = [(rep_u[grp[star]], u[star], np.zeros(int(star.sum()), dtype=np.int64))]
 
     # --- candidate pairs: one edit moves a length by at most 1, so with a
     # block's distinct strings sorted by length, a string's only partners
     # are the rows after it up to its length + n (lossless for every
     # algorithm).  ``block * span + length`` keeps blocks apart, so one
     # searchsorted finds every row's partner range ------------------------
-    gs = s[head]
-    key = b[head] * (int(lens.max(initial=0)) + n + 1) + lens[gs]
-    order = np.argsort(key, kind="stable")
-    key, gs, gu = key[order], gs[order], rep_u[order]
-    n_partners = np.searchsorted(key, key + n, side="right") - np.arange(len(key)) - 1
-    ends = np.cumsum(n_partners)
-    starts, total = ends - n_partners, int(ends[-1]) if len(ends) else 0
+    gs = s[g_start]
+    key = b[g_start] * (int(lens.max(initial=0)) + n + 1) + lens[gs]
+    gid = np.argsort(key, kind="stable")
+    key, gs = key[gid], gs[gid]
+    starts, ends = _pair_ranges(
+        np.searchsorted(key, key + n, side="right") - np.arange(len(key)) - 1)
+    total = int(ends[-1]) if len(ends) else 0
 
-    # --- the pairs in tiles of PAIR_TILE: pair p belongs to the row i whose
-    # partner range [starts[i], ends[i]) holds it, so no block materializes
-    # its whole triangle.  A tile keeps the canonical (smaller sid first:
-    # BlockScorer's query side) pairs that pass the bucket's char
-    # signatures; the survivors are held until there are PAIR_TILE of them,
-    # then deduped and scored in one DP batch -----------------------------
+    # --- the pairs in tiles of PAIR_TILE, so no block materializes its
+    # whole triangle.  A tile keeps the canonical (smaller sid first) pairs
+    # that pass the bucket's char signatures; the survivors are held until
+    # there are PAIR_TILE of them, then deduped and scored in one DP batch,
+    # and the batch's group pairs expand to url pairs ---------------------
     hist, mask = _char_signatures(uniq_strs, lens)
     held, n_held = [], 0
     stats.update(candidate_pairs=total, signature_pairs=0, dp_pairs=0)
     for p0 in range(0, total, PAIR_TILE):
         p1 = min(p0 + PAIR_TILE, total)
-        rows = np.arange(np.searchsorted(ends, p0, "right"), np.searchsorted(ends, p1) + 1)
-        i = np.repeat(rows, np.minimum(ends[rows], p1) - np.maximum(starts[rows], p0))
-        j = i + 1 + np.arange(p0, p1) - starts[i]
+        i, k = _owners(starts, ends, p0, p1)
+        j = i + 1 + k
         sa, sb = np.minimum(gs[i], gs[j]), np.maximum(gs[i], gs[j])
         keep = _signature_pass(sa, sb, hist, mask, n, algorithm)
-        held.append((sa[keep], sb[keep], gu[i[keep]], gu[j[keep]]))
+        held.append((sa[keep], sb[keep], gid[i[keep]], gid[j[keep]]))
         n_held += len(keep)
         if n_held >= PAIR_TILE or (p1 == total and n_held):
             stats["signature_pairs"] += n_held
-            out.append(_score_batch(*map(np.concatenate, zip(*held)), uniq_strs, lens,
-                                    n, algorithm, stats))
+            ga, gb, d = _score_batch(*map(np.concatenate, zip(*held)), uniq_strs, lens,
+                                     n, algorithm, stats)
+            if emit_all_pairs:  # the cross product of the two groups' urls
+                e, k = _owners(*_pair_ranges(g_size[ga] * g_size[gb]))
+                ka, kb = np.divmod(k, g_size[gb[e]])
+                ua, ub, d = u[g_start[ga[e]] + ka], u[g_start[gb[e]] + kb], d[e]
+            else:
+                ua, ub = rep_u[ga], rep_u[gb]
+            keep = ua != ub  # one url holding both strings of the pair
+            out.append((np.minimum(ua, ub)[keep], np.maximum(ua, ub)[keep], d[keep]))
             held, n_held = [], 0
 
-    # --- merge stars + scored edges, keep min distance per url pair ------
+    # --- merge distance-0 and scored edges, keep min distance per url pair
     all_lo, all_hi, all_d = (np.concatenate(c) for c in zip(*out))
     order = np.lexsort((all_d, all_hi, all_lo))
     all_lo, all_hi, all_d = all_lo[order], all_hi[order], all_d[order]
@@ -337,9 +263,9 @@ def _signature_pass(sa, sb, hist, mask, n: int, algorithm: str):
     return keep[(np.maximum(A, B) - np.minimum(A, B)).sum(axis=1) <= limit]
 
 
-def _score_batch(sa, sb, ua, ub, uniq_strs, lens, n: int, algorithm: str, stats: dict):
-    """Canonical string pairs ``(sa, sb)`` with their representative urls ->
-    the ``(lo_url, hi_url, distance)`` edges within ``n``: one banded DP per
+def _score_batch(sa, sb, ga, gb, uniq_strs, lens, n: int, algorithm: str, stats: dict):
+    """Canonical string pairs ``(sa, sb)`` of the groups ``(ga, gb)`` ->
+    the ``(ga, gb, distance)`` group pairs within ``n``: one banded DP per
     distinct string pair, allocating in proportion to the batch only."""
     import numpy as np
 
@@ -354,6 +280,5 @@ def _score_batch(sa, sb, ua, ub, uniq_strs, lens, n: int, algorithm: str, stats:
                                   lens=lens[need])
     dist = _banded_pairs(ENC, elens, np.searchsorted(need, qa),
                          np.searchsorted(need, qb), n, algorithm)[inv]
-    keep = (dist <= n) & (ua != ub)
-    return (np.minimum(ua[keep], ub[keep]), np.maximum(ua[keep], ub[keep]),
-            dist[keep])
+    keep = dist <= n
+    return ga[keep], gb[keep], dist[keep]

@@ -11,7 +11,7 @@ corpus-wide.  We compute that contract exactly:
 
 * pass 1 (count) — stateless ``map_batches``: split each doc on single
   spaces (vectorized Arrow kernel), hash each DISTINCT token once
-  (factorize), combine token hashes into w-gram hashes with a
+  (Arrow dictionary-encode), combine token hashes into w-gram hashes with a
   position-weighted polynomial (O(w·n) numpy, no shingle strings ever
   materialized), pre-aggregate ``(shingle_hash, cnt)`` partials per
   batch.  The ONE count exchange carries 16-byte rows per distinct
@@ -41,11 +41,10 @@ discipline of stages/lines.py and stages/dedup.py.
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.simhash import hash64
+from ..functions.simhash import hash64_distinct
 
 # polynomial base for combining token hashes positionally (odd => invertible
 # mod 2^64, so windows differing in any slot hash differently w.h.p.)
@@ -54,19 +53,18 @@ _POLY_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 def _split_tokens(t: pa.Table, text_col: str):
     """Vectorized single-space split (empty tokens kept — the SQL oracle's
-    string_split does the same).  Returns (flat object ndarray, per-doc
-    token counts)."""
+    string_split does the same).  Returns (tokens as an Arrow string array,
+    per-doc token counts)."""
     col = t.column(text_col)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     col = col.fill_null("")
     lst = pc.split_pattern(col, pattern=" ")
-    flat = lst.values.to_numpy(zero_copy_only=False)
     counts = np.diff(lst.offsets.to_numpy()).astype(np.int64)
-    return flat, counts
+    return lst.values, counts
 
 
-def _shingle_hashes(flat: np.ndarray, per_doc: np.ndarray, w: int):
+def _shingle_hashes(tokens, per_doc: np.ndarray, w: int):
     """w-gram hashes at every in-doc position.
 
     Returns (hashes uint64[n_pos], doc_idx int64[n_pos], pos int64[n_pos])
@@ -74,15 +72,12 @@ def _shingle_hashes(flat: np.ndarray, per_doc: np.ndarray, w: int):
     its doc.  Windows that would straddle a doc boundary are excluded by
     construction (positions run only to len(doc) - w per doc).
     """
-    n = len(flat)
+    n = len(tokens)
     n_docs = len(per_doc)
     if n == 0 or n_docs == 0:
         z = np.empty(0, dtype=np.int64)
         return np.empty(0, dtype=np.uint64), z, z
-    codes, uniques = pd.factorize(flat)
-    uh = np.fromiter((hash64(x) for x in uniques), dtype=np.uint64,
-                     count=len(uniques))
-    th = uh[codes]  # uint64 hash per token, flat order
+    th = hash64_distinct(tokens)  # uint64 hash per token, flat order
 
     # windowed polynomial over the FLAT array: H[p] = sum_j th[p+j]*B^j
     n_win = n - w + 1
@@ -108,8 +103,8 @@ def _dup_hash_array(ds, text_col: str, w: int, min_df: int) -> np.ndarray:
     """Pass 1: corpus-wide shingle counts -> sorted int64 array of hashes
     with df >= min_df (the only exchange carries 16-byte partial rows)."""
     def partial_counts(t: pa.Table) -> pa.Table:
-        flat, per_doc = _split_tokens(t, text_col)
-        h, _, _ = _shingle_hashes(flat, per_doc, w)
+        tokens, per_doc = _split_tokens(t, text_col)
+        h, _, _ = _shingle_hashes(tokens, per_doc, w)
         hs, cnts = np.unique(h.view(np.int64), return_counts=True)
         return pa.table({
             "shingle_hash": pa.array(hs, type=pa.int64()),
@@ -147,8 +142,8 @@ def duplicated_spans(ds, text_col: str = "text", id_col: str = "doc_id",
 
     def mark_merge(t: pa.Table) -> pa.Table:
         dup_arr = ray.get(ref)  # zero-copy view of the sorted hash array
-        flat, per_doc = _split_tokens(t, text_col)
-        h, doc_idx, pos = _shingle_hashes(flat, per_doc, w)
+        tokens, per_doc = _split_tokens(t, text_col)
+        h, doc_idx, pos = _shingle_hashes(tokens, per_doc, w)
         flag = np.isin(h.view(np.int64), dup_arr)
         doc_idx, pos = doc_idx[flag], pos[flag]
         if len(pos) == 0:
@@ -192,8 +187,8 @@ def dup_span_fraction(ds, text_col: str = "text", id_col: str = "doc_id",
 
     def score(t: pa.Table) -> pa.Table:
         dup_arr = ray.get(ref)
-        flat, per_doc = _split_tokens(t, text_col)
-        h, doc_idx, _ = _shingle_hashes(flat, per_doc, w)
+        tokens, per_doc = _split_tokens(t, text_col)
+        h, doc_idx, _ = _shingle_hashes(tokens, per_doc, w)
         n_docs = len(per_doc)
         n_win = np.maximum(per_doc - w + 1, 0).astype(np.int64)
         flag = np.isin(h.view(np.int64), dup_arr)

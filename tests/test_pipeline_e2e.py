@@ -167,13 +167,15 @@ def test_er_pairs_incremental_equals_full(corpus):
     assert ci.equals(cf)
 
 
-def _dp_scan_edges(pages, max_distance=2):
-    """The default engine's edge semantics, by brute force: in each block,
-    every url stars (distance 0) to the smallest url sharing its title, and
-    the smallest urls of two titles within ``max_distance`` (pure-Python
-    DP, run with the titles' common prefix and suffix stripped, which
-    never changes a Levenshtein distance) are joined; the smallest
-    distance per url pair wins.  Blocks of any size are scanned whole."""
+def _dp_scan_edges(pages, max_distance=2, all_pairs=False):
+    """The engine's edge semantics, by brute force: in each block, every
+    url stars (distance 0) to the smallest url sharing its title, and the
+    smallest urls of two titles within ``max_distance`` (pure-Python DP,
+    run with the titles' common prefix and suffix stripped, which never
+    changes a Levenshtein distance) are joined; ``all_pairs`` joins every
+    url of the two titles instead, and every two urls sharing a title.  A
+    url is never paired with itself, and the smallest distance per url
+    pair wins.  Blocks of any size are scanned whole."""
     from liblevenshtein_rust_ray.kernel import standard_distance
     from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch
     from liblevenshtein_rust_ray.stages.extract import extract_batch
@@ -192,10 +194,11 @@ def _dp_scan_edges(pages, max_distance=2):
             best[k] = min(best.get(k, d), d)
 
     for by_title in blocks.values():
-        rep = {s: min(us) for s, us in by_title.items()}
+        rep = by_title if all_pairs else {s: [min(us)] for s, us in by_title.items()}
         for s, us in by_title.items():
             for u in us:
-                add(rep[s], u, 0)
+                for v in rep[s]:
+                    add(v, u, 0)
         titles = sorted(rep)
         for i, s in enumerate(titles):
             for t in titles[i + 1:]:
@@ -204,7 +207,9 @@ def _dp_scan_edges(pages, max_distance=2):
                 q = len(os.path.commonprefix([a[::-1], b[::-1]]))
                 d = standard_distance(a[:len(a) - q], b[:len(b) - q])
                 if d <= max_distance:
-                    add(rep[s], rep[t], d)
+                    for u in rep[s]:
+                        for v in rep[t]:
+                            add(u, v, d)
     return sorted((a, b, d) for (a, b), d in best.items())
 
 
@@ -389,7 +394,8 @@ def test_checkpoints_not_reused_across_scorer_settings(tmp_path, corpus):
 def test_salted_era_checkpoints_recompute(tmp_path, corpus):
     """``pairs`` and ``clusters`` checkpoints written under the salting
     scorer's fingerprints (``...|all0|cap512``) hold edges that missed
-    pairs: they are recomputed, not re-served."""
+    pairs, and all-pairs ones written under ``...|all1`` may hold
+    self-pairs: both are recomputed, not re-served."""
     import json
 
     import pandas as pd
@@ -400,36 +406,41 @@ def test_salted_era_checkpoints_recompute(tmp_path, corpus):
     from liblevenshtein_rust_ray.stages.extract import EXTRACTOR_VERSION
 
     tab, _ = corpus
-    run_dir = tmp_path / "run"
-    old_fp = f"p|x{EXTRACTOR_VERSION}|d2|standard|all0|cap512"
-    stale = {"pairs": pa.table({"url_a": ["https://stale/a"], "url_b": ["https://stale/b"],
-                                "distance": pa.array([1], pa.int32())}),
-             "clusters": pa.table({"url": ["https://stale/a"], "cluster_id": [0]})}
-    for stage, fp in (("pairs", old_fp), ("clusters", old_fp + "|cc")):
-        os.makedirs(run_dir / stage)
-        pq.write_table(stale[stage], str(run_dir / stage / "part-0.parquet"))
-        with open(run_dir / f"{stage}.manifest.json", "w") as f:
-            json.dump({"stage": stage, "input_fingerprint": fp, "rows": 1,
-                       "counters": {}, "complete": True, "completed_at": 0}, f)
+    old = f"p|x{EXTRACTOR_VERSION}|d2|standard"
+    # the salting scorer's token, and the all-pairs scorer's before it
+    # dropped self-pairs (url_a == url_b)
+    for i, (old_fp, kw) in enumerate(((f"{old}|all0|cap512", {}),
+                                       (f"{old}|all1", {"emit_all_pairs": True}))):
+        run_dir = tmp_path / f"run{i}"
+        stale = {"pairs": pa.table({"url_a": ["https://stale/a"], "url_b": ["https://stale/b"],
+                                    "distance": pa.array([1], pa.int32())}),
+                 "clusters": pa.table({"url": ["https://stale/a"], "cluster_id": [0]})}
+        for stage, fp in (("pairs", old_fp), ("clusters", old_fp + "|cc")):
+            os.makedirs(run_dir / stage)
+            pq.write_table(stale[stage], str(run_dir / stage / "part-0.parquet"))
+            with open(run_dir / f"{stage}.manifest.json", "w") as f:
+                json.dump({"stage": stage, "input_fingerprint": fp, "rows": 1,
+                           "counters": {}, "complete": True, "completed_at": 0}, f)
 
-    ck = CheckpointManager(str(run_dir))
-    got = er_clusters(tab, checkpoints=ck, fingerprint="p").to_pandas()
-    want = er_clusters(tab).to_pandas()
-    assert "https://stale/a" not in set(got["url"])
-    pd.testing.assert_frame_equal(got.sort_values("url").reset_index(drop=True),
-                                  want.sort_values("url").reset_index(drop=True))
-    for stage in ("pairs", "clusters"):
-        m = ck.manifest(stage)
-        assert "cap" not in m["input_fingerprint"] and m["counters"], m
-    assert ck.manifest("pairs")["counters"]["plan"] == "local"
+        ck = CheckpointManager(str(run_dir))
+        got = er_clusters(tab, checkpoints=ck, fingerprint="p", **kw).to_pandas()
+        want = er_clusters(tab, **kw).to_pandas()
+        assert "https://stale/a" not in set(got["url"])
+        pd.testing.assert_frame_equal(got.sort_values("url").reset_index(drop=True),
+                                      want.sort_values("url").reset_index(drop=True))
+        for stage in ("pairs", "clusters"):
+            m = ck.manifest(stage)
+            assert not m["input_fingerprint"].startswith(old_fp) and m["counters"], m
+        assert ck.manifest("pairs")["counters"]["plan"] == "local"
 
 
 @pytest.mark.usefixtures("ray_session")
 def test_er_pairs_auto_guard(tmp_path, corpus, monkeypatch):
     """The local plan runs only where the guard allows it: today's
-    distributed plan runs above the page guard, on many-CPU clusters, for
-    inputs without a free row count (lazy derived Datasets, directories
-    Ray lists by its own rules) and for the all-pairs scorer."""
+    distributed plan runs above the page guard, on many-CPU clusters and
+    for inputs without a free row count (lazy derived Datasets,
+    directories Ray lists by its own rules); all-pairs output follows the
+    same guard."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -456,7 +467,7 @@ def test_er_pairs_auto_guard(tmp_path, corpus, monkeypatch):
         (dict(source=rd.read_parquet(pages_dir)), real, 4, "local"),
         (dict(source=rd.read_parquet(pages_dir).map_batches(
             lambda t: t, batch_format="pyarrow")), real, 1, "distributed"),
-        (dict(source=tab, emit_all_pairs=True), real, 1, "distributed"),
+        (dict(source=tab, emit_all_pairs=True), real, 1, "local"),
     ] + [(dict(source=d), real, 1, "distributed") for d in odd_dirs]
     for kwargs, speedups, cpus, plan in cases:
         monkeypatch.setattr(entity_resolution, "LOCAL_SPEEDUPS", speedups)
@@ -583,8 +594,8 @@ def adversarial_pages(draw):
 @given(pages=adversarial_pages())
 def test_er_pairs_plans_agree_on_adversarial_pages(pages):
     """Local (many tiles) and distributed plans give identical edges on
-    adversarial inputs, and both equal a DP scan of every block, the
-    oversized one included."""
+    adversarial inputs, with and without ``emit_all_pairs``, and both
+    equal a DP scan of every block, the oversized one included."""
     from unittest import mock
 
     import pandas as pd
@@ -592,37 +603,64 @@ def test_er_pairs_plans_agree_on_adversarial_pages(pages):
     from liblevenshtein_rust_ray.pipelines import entity_resolution
     from liblevenshtein_rust_ray.stages import scorer
 
-    with mock.patch.object(scorer, "PAIR_TILE", 5_000), \
-            mock.patch.object(scorer, "_signature_pass", wraps=scorer._signature_pass) as tiles, \
-            mock.patch.object(entity_resolution, "LOCAL_SPEEDUPS", _speedups("local")):
-        local = _sorted_edges(er_pairs(pages))
-    assert tiles.call_count > 1
-    with mock.patch.object(entity_resolution, "LOCAL_SPEEDUPS", _speedups("distributed")):
-        dist = _sorted_edges(er_pairs(pages))
-    pd.testing.assert_frame_equal(local, dist)
-    assert list(local.itertuples(index=False, name=None)) == _dp_scan_edges(pages)
+    for all_pairs in (False, True):
+        with mock.patch.object(scorer, "PAIR_TILE", 5_000), \
+                mock.patch.object(scorer, "_signature_pass",
+                                  wraps=scorer._signature_pass) as tiles, \
+                mock.patch.object(entity_resolution, "LOCAL_SPEEDUPS", _speedups("local")):
+            local = _sorted_edges(er_pairs(pages, emit_all_pairs=all_pairs))
+        assert tiles.call_count > 1
+        with mock.patch.object(entity_resolution, "LOCAL_SPEEDUPS", _speedups("distributed")):
+            dist = _sorted_edges(er_pairs(pages, emit_all_pairs=all_pairs))
+        pd.testing.assert_frame_equal(local, dist)
+        assert (list(local.itertuples(index=False, name=None))
+                == _dp_scan_edges(pages, all_pairs=all_pairs))
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_er_pairs_all_pairs_keeps_nul_title_blocks_apart():
-    """Exact-title keys that differ only after a NUL are separate blocks
-    for the all-pairs scorer too: the two h1 titles share a token block,
-    the h2 title shares no block with them and must not be paired.  One
-    hash bucket puts all three exact keys in one scorer call."""
+def _titled_pages(urls, titles):
     import pyarrow as pa
 
     from liblevenshtein_rust_ray.sources.pages import PAGES_SCHEMA
 
-    urls = ["https://h1.com/1", "https://h1.com/2", "https://h2.com/1"]
-    titles = ["alpha beta\x00x", "alpha beta\x00y", "alpha beta\x00z"]
-    pages = pa.table({
+    n = len(urls)
+    return pa.table({
         "url": urls,
-        "warc_ts": pa.array([0, 1, 2], type=pa.timestamp("us")),
-        "html": pa.array([b""] * 3, type=pa.binary()),
+        "warc_ts": pa.array(list(range(n)), type=pa.timestamp("us")),
+        "html": pa.array([b""] * n, type=pa.binary()),
         "text": [f"{t}\nbody" for t in titles],
-        "lang": ["en"] * 3,
+        "lang": ["en"] * n,
     }, schema=PAGES_SCHEMA)
-    want = _dp_scan_edges(pages)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_er_pairs_all_pairs_keeps_nul_title_blocks_apart(monkeypatch):
+    """Exact-title keys that differ only after a NUL are separate blocks
+    for all-pairs output too, on both plans: the two h1 titles share a
+    token block, the h2 title shares no block with them and must not be
+    paired.  On the distributed plan one hash bucket puts all three exact
+    keys in one scorer call."""
+    pages = _titled_pages(["https://h1.com/1", "https://h1.com/2", "https://h2.com/1"],
+                          ["alpha beta\x00x", "alpha beta\x00y", "alpha beta\x00z"])
+    want = _dp_scan_edges(pages, all_pairs=True)
     assert want == [("https://h1.com/1", "https://h1.com/2", 1)]
-    got = _sorted_edges(er_pairs(pages, emit_all_pairs=True, n_buckets=1))
-    assert list(got.itertuples(index=False, name=None)) == want
+    for plan in ("local", "distributed"):
+        _force_plan(monkeypatch, plan)
+        stats = {}
+        got = _sorted_edges(er_pairs(pages, emit_all_pairs=True, n_buckets=1, stats=stats))
+        assert stats["plan"] == plan
+        assert list(got.itertuples(index=False, name=None)) == want
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_er_pairs_all_pairs_emits_no_self_pairs(monkeypatch):
+    """One url crawled with two titles that share a token block is not
+    paired with itself by all-pairs output, on either plan."""
+    pages = _titled_pages(["https://h.com/1", "https://h.com/1", "https://h.com/2"],
+                          ["alpha beta", "alpha betx", "alpha beta"])
+    want = _dp_scan_edges(pages, all_pairs=True)
+    assert want == [("https://h.com/1", "https://h.com/2", 0)]
+    for plan in ("local", "distributed"):
+        _force_plan(monkeypatch, plan)
+        got = _sorted_edges(er_pairs(pages, emit_all_pairs=True))
+        assert not (got["url_a"] == got["url_b"]).any()
+        assert list(got.itertuples(index=False, name=None)) == want

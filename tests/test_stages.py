@@ -12,7 +12,9 @@ from liblevenshtein_rust_ray.stages.extract import (
     extract_text_from_html,
 )
 from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch
-from liblevenshtein_rust_ray.stages.scorer import BlockScorer
+from liblevenshtein_rust_ray.stages.scorer import (
+    _edges_schema, score_bucket_vectorized_arrow,
+)
 from liblevenshtein_rust_ray.kernel import distance_fn, standard_distance
 
 ALGORITHMS = ["standard", "transposition", "merge_and_split"]
@@ -133,30 +135,27 @@ def test_blocking_batch_explodes():
 
 
 def _group(strings_urls):
-    return pd.DataFrame(
-        {
-            "block_key": ["k"] * len(strings_urls),
-            "url": [u for _s, u in strings_urls],
-            "key_string": [s for s, _u in strings_urls],
-        }
-    )
+    """One block ``k`` of ``(string, url)`` rows, as the scorer's input."""
+    return pa.table({
+        "block_key": pa.array(["k"] * len(strings_urls), pa.string()),
+        "url": pa.array([u for _s, u in strings_urls], pa.string()),
+        "key_string": pa.array([s for s, _u in strings_urls], pa.string()),
+    })
+
+
+def _edge_set(out):
+    return set(zip(*out.select(["url_a", "url_b", "distance"]).to_pydict().values()))
 
 
 def test_scorer_identical_strings_star():
-    g = _group([("t", f"u{i}") for i in range(5)])
-    out = BlockScorer()(g)
+    out = score_bucket_vectorized_arrow(_group([("t", f"u{i}") for i in range(5)]))
     # star: 4 edges from min url, all distance 0
-    assert len(out) == 4
-    assert set(out["url_a"]) == {"u0"}
-    assert (out["distance"] == 0).all()
+    assert _edge_set(out) == {("u0", f"u{i}", 0) for i in range(1, 5)}
 
 
 def test_scorer_cross_string_representatives():
     g = _group([("abcd", "u1"), ("abce", "u2"), ("zzzz", "u3")])
-    out = BlockScorer(max_distance=1)(g)
-    assert len(out) == 1
-    assert tuple(out.iloc[0][["url_a", "url_b"]]) == ("u1", "u2")
-    assert out.iloc[0]["distance"] == 1
+    assert _edge_set(score_bucket_vectorized_arrow(g, max_distance=1)) == {("u1", "u2", 1)}
 
 
 def test_scorer_all_pairs_parity_with_dp():
@@ -164,8 +163,8 @@ def test_scorer_all_pairs_parity_with_dp():
 
     strings = ["cat", "cap", "dog", "dig", "dot", "cart", "", "catt"]
     rows = [(s, f"u{i}") for i, s in enumerate(strings)]
-    out = BlockScorer(max_distance=2, emit_all_pairs=True)(_group(rows))
-    got = {(a, b): d for a, b, d in zip(out["url_a"], out["url_b"], out["distance"])}
+    out = score_bucket_vectorized_arrow(_group(rows), max_distance=2, emit_all_pairs=True)
+    got = {(a, b): d for a, b, d in _edge_set(out)}
     expected = {}
     for (s1, u1), (s2, u2) in itertools.combinations(rows, 2):
         d = standard_distance(s1, s2)
@@ -175,43 +174,57 @@ def test_scorer_all_pairs_parity_with_dp():
     assert got == expected
 
 
-def _dp_scan_block(rows, max_distance=2, algorithm="standard"):
-    """Brute-force edges of one block of ``(string, url)`` rows with one
-    url per string: every string pair within ``max_distance`` of each
-    other by ``algorithm``'s pure-Python DP, run on the pair with its
-    common prefix stripped (all three DPs match an equal leading char for
-    free, so this never changes a distance)."""
+def _dp_scan_all_pairs(rows, max_distance=2, algorithm="standard"):
+    """Brute-force all-pairs edges of ``(block, string, url)`` rows: in
+    each block, every url pair whose strings are within ``max_distance``
+    by ``algorithm``'s pure-Python DP (run on the pair with its common
+    prefix stripped: all three DPs match an equal leading char for free,
+    so this never changes a distance); the smallest distance per url pair
+    wins."""
     import itertools
     import os
 
     dist = distance_fn(algorithm)
-    out = set()
-    for (s, u), (t, v) in itertools.combinations(rows, 2):
-        p = len(os.path.commonprefix([s, t]))
-        d = dist(s[p:], t[p:])
-        if d <= max_distance:
-            out.add((min(u, v), max(u, v), d))
-    return out
+    blocks: dict = {}
+    for k, s, u in rows:
+        blocks.setdefault(k, []).append((s, u))
+    best = {}
+    for block in blocks.values():
+        for (s, u), (t, v) in itertools.combinations(block, 2):
+            p = len(os.path.commonprefix([s, t]))
+            d = dist(s[p:], t[p:])
+            if u != v and d <= max_distance:
+                k = (min(u, v), max(u, v))
+                best[k] = min(best.get(k, d), d)
+    return {(a, b, d) for (a, b), d in best.items()}
 
 
-def _edge_set(out):
-    return set(zip(out["url_a"], out["url_b"], out["distance"]))
+def _dp_scan_block(rows, max_distance=2, algorithm="standard"):
+    """:func:`_dp_scan_all_pairs` of one block of ``(string, url)`` rows;
+    with one url per string, also the default (star + representative)
+    edges."""
+    return _dp_scan_all_pairs([("k", s, u) for s, u in rows], max_distance, algorithm)
 
 
 def test_block_scorer_large_block_keeps_near_pairs():
-    """A 101-string block is scored whole: every pair within distance 1
-    is found, the near-identical one included."""
+    """A 101-string block is scored whole, in both modes: every pair
+    within distance 1 is found, the near-identical one included."""
     rows = [(f"prefix-{i:04d}", f"u{i}") for i in range(100)]
     rows.append(("prefix-0000x", "near_a"))
-    got = _edge_set(BlockScorer(max_distance=1)(_group(rows)))
-    assert ("near_a", "u0", 1) in got
-    assert got == _dp_scan_block(rows, max_distance=1)
+    for emit_all_pairs in (False, True):
+        got = _edge_set(score_bucket_vectorized_arrow(_group(rows), max_distance=1,
+                                                      emit_all_pairs=emit_all_pairs))
+        assert ("near_a", "u0", 1) in got
+        assert got == _dp_scan_block(rows, max_distance=1)
 
 
 def test_scorer_empty_and_single():
-    assert len(BlockScorer()(_group([("only", "u1")]))) == 0
-    out = BlockScorer()(_group([]))
-    assert list(out.columns) == ["url_a", "url_b", "distance"]
+    for emit_all_pairs in (False, True):
+        single = score_bucket_vectorized_arrow(_group([("only", "u1")]),
+                                               emit_all_pairs=emit_all_pairs)
+        empty = score_bucket_vectorized_arrow(_group([]), emit_all_pairs=emit_all_pairs)
+        for out in (single, empty):
+            assert out.num_rows == 0 and out.schema == _edges_schema()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -326,17 +339,29 @@ def test_connected_components_auto_contraction_parity(threshold, monkeypatch):
     assert stats["contract_edges"][0] <= len(edges)
 
 
+def _components(edges):
+    """Connected components of an edge set, as a set of frozensets."""
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b, _d in edges:
+        parent[find(a)] = find(b)
+    comps: dict = {}
+    for x in parent:
+        comps.setdefault(find(x), set()).add(x)
+    return {frozenset(c) for c in comps.values()}
+
+
 def test_vectorized_bucket_scorer_parity():
-    """score_bucket_vectorized_arrow ≡ BlockScorer (the automaton reference)
-    per block + global pair dedup, including identical-string stars and
-    representative edges."""
-    import numpy as np
-    import pandas as pd
-
-    from liblevenshtein_rust_ray.stages.scorer import (
-        BlockScorer, score_bucket_vectorized_arrow,
-    )
-
+    """Over a bucket of 30 blocks whose urls repeat across and within
+    blocks (a url may hold two strings of one block): all-pairs mode equals
+    a DP scan of every url pair per block plus a global pair dedup, and the
+    default mode's stars and representative edges are a subset of it with
+    identical connected components."""
     rng = np.random.default_rng(11)
     alpha = list("abcdef ")
     rows = []
@@ -346,36 +371,26 @@ def test_vectorized_bucket_scorer_parity():
             s = list(base)
             for _ in range(int(rng.integers(0, 3))):
                 s[int(rng.integers(0, len(s)))] = str(rng.choice(alpha))
-            rows.append({"block_key": f"b{b}", "url": f"u{rng.integers(0, 500):03d}",
-                         "key_string": "".join(s)})
-    df = pd.DataFrame(rows)
-
-    sc = BlockScorer()
-    outs = [sc(g) for _, g in df.groupby("block_key") if len(g) >= 2]
-    outs = [o for o in outs if len(o)]
-    auto = (
-        pd.concat(outs, ignore_index=True)
-        .groupby(["url_a", "url_b"], as_index=False)["distance"].min()
-        if outs else pd.DataFrame(columns=["url_a", "url_b", "distance"])
-    )
-    vec = score_bucket_vectorized_arrow(pa.Table.from_pandas(df, preserve_index=False))
-    a = set(map(tuple, auto.values.tolist()))
-    v = set(zip(*vec.to_pydict().values()))
-    assert a == v
-    assert {d for *_, d in v} == {0, 1, 2}  # stars and both edit distances
+            rows.append((f"b{b}", "".join(s), f"u{rng.integers(0, 500):03d}"))
+    tbl = pa.table({"block_key": [k for k, _s, _u in rows], "url": [u for *_, u in rows],
+                    "key_string": [s for _k, s, _u in rows]})
+    want = _dp_scan_all_pairs(rows)
+    assert {d for *_, d in want} == {0, 1, 2}  # cliques and both edit distances
+    all_pairs = _edge_set(score_bucket_vectorized_arrow(tbl, emit_all_pairs=True))
+    assert all_pairs == want
+    default = _edge_set(score_bucket_vectorized_arrow(tbl))
+    assert default < all_pairs
+    assert _components(default) == _components(all_pairs)
 
 
 def test_vectorized_scorer_one_block_matches_dp_scan():
-    """One 40-string block: both scorers give exactly the DP scan's
+    """One 40-string block: both modes give exactly the DP scan's
     edges."""
-    from liblevenshtein_rust_ray.stages.scorer import score_bucket_vectorized_arrow
-
     rows = [(f"shared prefix string number {i:04d}", f"u{i:03d}") for i in range(40)]
-    df = _group(rows)
     want = _dp_scan_block(rows)
-    assert _edge_set(BlockScorer()(df)) == want
-    vec = score_bucket_vectorized_arrow(pa.Table.from_pandas(df, preserve_index=False))
-    assert set(zip(*vec.to_pydict().values())) == want
+    for emit_all_pairs in (False, True):
+        out = score_bucket_vectorized_arrow(_group(rows), emit_all_pairs=emit_all_pairs)
+        assert _edge_set(out) == want
 
 
 def _big_block_rows():
@@ -392,25 +407,23 @@ def _big_block_rows():
 @pytest.mark.parametrize("max_distance", [1, 2])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_scorers_match_dp_scan_above_512_titles(algorithm, max_distance, tile, monkeypatch):
-    """A block of more than 512 distinct titles is scored exactly by both
-    scorers, in one tile or in many, for every algorithm and distance (the
+    """A block of more than 512 distinct titles is scored exactly in both
+    modes, in one tile or in many, for every algorithm and distance (the
     char-signature limit depends on both)."""
     from liblevenshtein_rust_ray.stages import scorer
 
     rows = _big_block_rows()
     assert len(rows) > 512
-    df = _group(rows)
     want = _dp_scan_block(rows, max_distance, algorithm)
     assert {d for *_, d in want} == set(range(1, max_distance + 1))
     lens = {u: len(s) for s, u in rows}
     assert {abs(lens[a] - lens[b]) for a, b, _ in want} == set(range(max_distance + 1))
     if tile:
         monkeypatch.setattr(scorer, "PAIR_TILE", tile)
-    vec = scorer.score_bucket_vectorized_arrow(pa.Table.from_pandas(df, preserve_index=False),
-                                               max_distance, algorithm)
-    assert set(zip(*vec.to_pydict().values())) == want
-    if tile is None:
-        assert _edge_set(BlockScorer(max_distance, algorithm)(df)) == want
+    for emit_all_pairs in (False, True):
+        out = scorer.score_bucket_vectorized_arrow(_group(rows), max_distance, algorithm,
+                                                   emit_all_pairs=emit_all_pairs)
+        assert _edge_set(out) == want
 
 
 def _signature_keeps(a: str, b: str, n: int, algorithm: str) -> bool:
@@ -476,29 +489,20 @@ def test_signature_pass_limit_is_inclusive(algorithm, a, b, kept):
 
 
 def test_all_pairs_bucket_scorer_matches_block_scorer():
-    """score_bucket_all_pairs_arrow is BlockScorer(emit_all_pairs=True) per
-    block (singleton blocks skipped), as an Arrow table of the edge schema."""
-    import pandas as pd
-
-    from liblevenshtein_rust_ray.stages.scorer import (
-        _edges_schema, score_bucket_all_pairs_arrow,
-    )
-
-    df = pd.DataFrame({
-        "block_key": ["b1"] * 5 + ["b2"] * 3 + ["b3"],
-        "url": ["u1", "u2", "u3", "u4", "u5", "u1", "u6", "u7", "u8"],
-        "key_string": ["same title", "same title", "same titel", "other thing",
-                       "same title", "same title", "same title", "sane title",
-                       "lonely"],
-    })
-    want = pd.concat([BlockScorer(emit_all_pairs=True)(g)
-                      for _, g in df.groupby("block_key") if len(g) > 1])
-    got = score_bucket_all_pairs_arrow(pa.Table.from_pandas(df, preserve_index=False))
+    """All-pairs mode over a bucket of three blocks (one a singleton, one
+    url in two blocks) is the DP scan of every url pair per block, min-
+    deduped, as an Arrow table of the edge schema."""
+    rows = list(zip(["b1"] * 5 + ["b2"] * 3 + ["b3"],
+                    ["same title", "same title", "same titel", "other thing",
+                     "same title", "same title", "same title", "sane title", "lonely"],
+                    ["u1", "u2", "u3", "u4", "u5", "u1", "u6", "u7", "u8"]))
+    tbl = pa.table({"block_key": [k for k, _s, _u in rows], "url": [u for *_, u in rows],
+                    "key_string": [s for _k, s, _u in rows]})
+    got = score_bucket_vectorized_arrow(tbl, emit_all_pairs=True)
     assert got.schema == _edges_schema()
-    assert sorted(zip(*got.to_pydict().values())) == sorted(
-        map(tuple, want.values.tolist()))
-    assert ("u1", "u2", 0) in set(zip(*got.to_pydict().values()))
-    empty = score_bucket_all_pairs_arrow(pa.Table.from_pandas(df.iloc[8:], preserve_index=False))
+    assert _edge_set(got) == _dp_scan_all_pairs(rows)
+    assert ("u1", "u2", 0) in _edge_set(got)
+    empty = score_bucket_vectorized_arrow(tbl.slice(8), emit_all_pairs=True)
     assert empty.num_rows == 0 and empty.schema == _edges_schema()
 
 
@@ -652,9 +656,10 @@ def test_empty_arrow_matches_edge_schema():
     """Empty bucket outputs are typed Arrow tables with the SAME column set
     and compatible types as real edge frames (they union downstream)."""
     from liblevenshtein_rust_ray.stages.grouped import _empty_arrow
-    from liblevenshtein_rust_ray.stages.scorer import _empty_edges, _edges_schema
 
-    empty = _empty_edges()
+    empty = pd.DataFrame({"url_a": pd.Series(dtype="object"),
+                          "url_b": pd.Series(dtype="object"),
+                          "distance": pd.Series(dtype="int32")})
     t = _empty_arrow(empty)
     assert t.num_rows == 0
     assert t.column_names == list(empty.columns)
@@ -777,6 +782,23 @@ def test_line_dedup_flood_linear(ray_session):
     assert len(out) == f
     assert (out["n_lines_dropped"] == 1).all()
     assert out["text"].str.startswith("unique ").all()
+
+
+@pytest.mark.parametrize("max_broadcast_common", [50_000_000, 0])
+def test_line_dedup_keeps_lines_that_differ_after_nul(ray_session, max_broadcast_common):
+    """Lines that differ only after a NUL are different lines on both the
+    broadcast and the fallback path: each occurs once and is kept, while
+    the shared line is dropped."""
+    import ray.data as rd
+
+    from liblevenshtein_rust_ray.stages.lines import line_dedup
+
+    docs = pd.DataFrame({"url": ["u0", "u1"], "text": ["a\x00x\nshared", "a\x00y\nshared"]})
+    out = (line_dedup(rd.from_pandas(docs), "text", "url", min_df=2,
+                      max_broadcast_common=max_broadcast_common)
+           .to_pandas().sort_values("url").reset_index(drop=True))
+    assert list(out["text"]) == ["a\x00x", "a\x00y"]
+    assert list(out["n_lines_dropped"]) == [1, 1]
 
 
 def test_quality_langid_vectorized_parity():
@@ -904,6 +926,20 @@ def test_duplicated_spans_within_doc_repeat(ray_session):
     assert list(out[["span_start", "span_end"]].itertuples(index=False,
                                                            name=None)) == \
         [(0, 8), (16, 24)]
+
+
+def test_duplicated_spans_tokens_that_differ_after_nul(ray_session):
+    """Tokens that differ only after a NUL are different tokens: two docs
+    that share no w-gram have no duplicated span and no duplicated
+    window."""
+    import ray.data as rd
+
+    from liblevenshtein_rust_ray.stages.spans import dup_span_fraction, duplicated_spans
+
+    df = pd.DataFrame({"doc_id": [0, 1], "text": ["p q\x00x r", "p q\x00y r"]})
+    assert duplicated_spans(rd.from_pandas(df), "text", "doc_id", w=2).count() == 0
+    frac = dup_span_fraction(rd.from_pandas(df), "text", "doc_id", w=2).to_pandas()
+    assert list(frac["n_dup_windows"]) == [0, 0]
 
 
 def test_executor_patch_fallback_on_missing_internals():
