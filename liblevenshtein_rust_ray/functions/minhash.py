@@ -193,7 +193,6 @@ def minhash_signatures_batch(
     with ONE ``np.minimum.reduceat`` changes nothing but the constant
     factor.  Empty docs get the all-max sentinel, same as the per-row
     kernel."""
-    import pandas as pd
     import pyarrow as pa
 
     from .tokenize import shingle_codes_column
@@ -201,18 +200,20 @@ def minhash_signatures_batch(
     # Sign each DISTINCT text once: webtext batches carry heavy exact
     # duplication (boilerplate pages, mirrored docs — the very thing the
     # dedup stage hunts), and a duplicate's signature is byte-identical.
-    doc_codes, doc_uniq = pd.factorize(
-        np.asarray([x or "" for x in texts], dtype=object))
-    if len(doc_uniq) < len(texts):
+    # Arrow groups texts by their full bytes (pandas' factorize hashes a
+    # str only up to its first NUL).
+    arr = pa.array([x or "" for x in texts], type=pa.string())
+    enc = arr.dictionary_encode()
+    if len(enc.dictionary) < len(arr):
         return minhash_signatures_batch(
-            list(doc_uniq), num_perm, shingle_k, hasher)[doc_codes]
+            enc.dictionary.to_pylist(), num_perm, shingle_k, hasher
+        )[enc.indices.to_numpy()]
 
-    n_docs = len(texts)
+    n_docs = len(arr)
     out = np.full((n_docs, num_perm), _U64_MAX, dtype=np.uint64)
     if n_docs == 0:
         return out
-    codes, offs, uniq_arr = shingle_codes_column(
-        pa.array([x or "" for x in texts], type=pa.string()), shingle_k)
+    codes, offs, uniq_arr = shingle_codes_column(arr, shingle_k)
     if len(codes) == 0:
         return out
     uniq = uniq_arr.to_pylist()

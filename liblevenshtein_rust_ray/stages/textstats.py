@@ -356,8 +356,11 @@ def gopher_stats_batch(t: pa.Table, text_col: str = "text",
     nonempty = lens > 0
     parent = parent[nonempty]
     wlens = lens[nonempty]
-    codes, uniq = pd.factorize(
-        pd.Series(flat.to_numpy(zero_copy_only=False)[nonempty]))
+    # Arrow groups words by their full bytes (pandas' factorize hashes a
+    # str only up to its first NUL)
+    enc = flat.filter(pa.array(nonempty)).dictionary_encode()
+    codes = enc.indices.to_numpy()
+    n_uniq = len(enc.dictionary)
 
     n_words = np.bincount(parent, minlength=n).astype(np.int64)
     sum_len = np.bincount(parent, weights=wlens, minlength=n).astype(np.int64)
@@ -372,7 +375,7 @@ def gopher_stats_batch(t: pa.Table, text_col: str = "text",
 
     same = parent[1:] == parent[:-1]
     bd = parent[1:][same]
-    k = np.int64(len(uniq) + 1)
+    k = np.int64(n_uniq + 1)
     bcode = codes[:-1][same].astype(np.int64) * k + codes[1:][same]
     bc = (pd.DataFrame({"d": bd, "b": bcode})
           .groupby(["d", "b"], sort=False).size().reset_index(name="c"))

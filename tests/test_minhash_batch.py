@@ -95,3 +95,14 @@ def test_duplicate_docs_share_rows():
     for j in range(1, 5):
         assert np.array_equal(mat[0], mat[j])
     assert not np.array_equal(mat[0], mat[5])
+
+
+@pytest.mark.parametrize("hasher", ["md5", "blake2b"])
+def test_batch_keeps_texts_that_differ_after_a_nul_apart(hasher):
+    """Distinct texts are grouped by their full bytes: pandas hashes a str
+    only up to its first NUL, which once gave the second text the first
+    one's signature."""
+    texts = ["alpha beta\x00x gamma delta", "alpha beta\x00y gamma delta"]
+    mat = minhash_signatures_batch(texts, 64, 3, hasher)
+    for j, t in enumerate(texts):
+        assert np.array_equal(mat[j], _ref_sig(t, 64, 3, hasher)), (hasher, j)

@@ -592,6 +592,21 @@ def test_gopher_stats_batch_handcrafted():
     assert out["keep"].tolist() == [False, False, False, False]
 
 
+def test_gopher_stats_batch_keeps_words_that_differ_after_a_nul_apart():
+    """Words are grouped by their full bytes, so four words that share
+    everything up to a NUL are four unique words, like the control."""
+    import pyarrow as pa
+
+    from liblevenshtein_rust_ray.stages.textstats import gopher_stats_batch
+
+    t = pa.table({"doc_id": [0, 1],
+                  "text": ["w\x00a w\x00b w\x00c w\x00d", "wa wb wc wd"]})
+    out = gopher_stats_batch(t).to_pandas()
+    assert out["n_unique_words"].tolist() == [4, 4]
+    assert out["top_word_frac"].tolist() == [0.25, 0.25]
+    assert out["dup_bigram_frac"].tolist() == [0.0, 0.0]
+
+
 def test_gopher_quality_stage_matches_batch(ray_session):
     import pandas as pd
     import pyarrow as pa

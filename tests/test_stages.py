@@ -229,11 +229,11 @@ def test_scorer_empty_and_single():
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("path", ["driver", "distributed"])
-def test_connected_components(path):
+def test_connected_components(path, monkeypatch):
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import (
-        _distributed_cc, connected_components)
+    from liblevenshtein_rust_ray.stages import cluster
+    from liblevenshtein_rust_ray.stages.cluster import connected_components
 
     pairs = rd.from_items(
         [
@@ -242,10 +242,11 @@ def test_connected_components(path):
             {"url_a": "x", "url_b": "y", "distance": 0},
         ]
     )
-    if path == "driver":
-        out = connected_components(pairs).to_pandas()
-    else:
-        out = _distributed_cc(pairs, max_rounds=30, n_buckets=4).to_pandas()
+    if path == "distributed":
+        monkeypatch.setattr(cluster, "DRIVER_MAX_EDGES", 0)
+    stats: dict = {}
+    out = connected_components(pairs, n_buckets=4, stats=stats).to_pandas()
+    assert stats["path"] == ("driver" if path == "driver" else "contract+stars")
     lab = dict(zip(out["url"], out["cluster_id"]))
     assert lab["a"] == lab["b"] == lab["c"] == "a"
     assert lab["x"] == lab["y"] == "x"
@@ -253,13 +254,13 @@ def test_connected_components(path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_connected_components_modes_agree():
+def test_connected_components_modes_agree(monkeypatch):
     import random
 
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import (
-        _distributed_cc, connected_components)
+    from liblevenshtein_rust_ray.stages import cluster
+    from liblevenshtein_rust_ray.stages.cluster import connected_components
 
     rng = random.Random(3)
     # random chain/star mixture over 120 nodes
@@ -273,7 +274,11 @@ def test_connected_components_modes_agree():
     # row-per-block task overhead
     pairs = rd.from_pandas(pd.DataFrame(edges)).repartition(7)
     a = connected_components(pairs).to_pandas().sort_values("url").reset_index(drop=True)
-    b = _distributed_cc(pairs, max_rounds=30, n_buckets=4).to_pandas().sort_values("url").reset_index(drop=True)
+    monkeypatch.setattr(cluster, "DRIVER_MAX_EDGES", 0)
+    stats: dict = {}
+    b = (connected_components(pairs, n_buckets=4, stats=stats).to_pandas()
+         .sort_values("url").reset_index(drop=True))
+    assert stats["path"] == "contract+stars", stats
     assert a.equals(b)
 
 
@@ -288,6 +293,10 @@ def test_contract_table_stars():
     stars = dict(zip(out["url_a"].to_pylist(), out["url_b"].to_pylist()))
     # every non-root points at the lexicographic min of its component
     assert stars == {"b": "a", "c": "a", "y": "x"}
+    # a node whose only edge is a self-loop survives as (u, u)
+    loops = _contract_table(pa.table({"url_a": ["s", "b", "a"], "url_b": ["s", "a", "a"]}))
+    assert sorted(zip(loops["url_a"].to_pylist(), loops["url_b"].to_pylist())) == [
+        ("b", "a"), ("s", "s")]
     # empty input keeps the schema
     empty = _contract_table(t.slice(0, 0))
     assert empty.num_rows == 0
@@ -300,8 +309,8 @@ def test_contract_table_stars():
 def test_connected_components_auto_contraction_parity(threshold, monkeypatch):
     """Above DRIVER_MAX_EDGES the edge set is contracted first; the result
     must be identical to the pure driver path whether the contracted set
-    then fits the driver (threshold=30) or falls through to the
-    distributed rounds (threshold=1)."""
+    then fits the driver (threshold=30) or is contracted to its
+    star-forest fixpoint (threshold=1)."""
     import random
 
     import ray.data as rd
@@ -532,49 +541,67 @@ def test_blocking_recall_property():
         assert keys[f"https://host/{trial}a"] & keys[f"https://host/{trial}b"], (title, perturbed)
 
 
+def _record_pass_blocks(monkeypatch):
+    """Block count of every bucketed exchange the forced path runs."""
+    from liblevenshtein_rust_ray.stages import grouped
+
+    blocks: list = []
+    apply = grouped.bucketed_apply_arrow
+
+    def recording(*args, **kwargs):
+        out = apply(*args, **kwargs).materialize()
+        blocks.append(out.num_blocks())
+        return out
+
+    monkeypatch.setattr(grouped, "bucketed_apply_arrow", recording)
+    return blocks
+
+
 @pytest.mark.usefixtures("ray_session")
-def test_distributed_cc_label_link_shortcut_chain():
-    """Label-link shortcutting makes round count O(log diameter): a 16-node
-    chain (one-hop propagation would need 15 rounds) must converge within
-    8 rounds and match the driver union-find exactly."""
+def test_distributed_cc_chain_pass_bound(monkeypatch):
+    """Star contraction reaches its fixpoint on a 16-node chain split one
+    edge per block within 8 passes, matches the driver union-find exactly,
+    and each keyed pass adds at most one block, the schema sentinel's."""
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import _distributed_cc
+    from liblevenshtein_rust_ray.stages import cluster
+    from liblevenshtein_rust_ray.stages.cluster import connected_components
 
     n = 16
     edges = [
         {"url_a": f"n{i:04d}", "url_b": f"n{i + 1:04d}", "distance": 1}
         for i in range(n - 1)
     ]
-    pairs = rd.from_items(edges)
+    pairs = rd.from_items(edges).repartition(n - 1).materialize()
+    blocks = _record_pass_blocks(monkeypatch)
+    monkeypatch.setattr(cluster, "DRIVER_MAX_EDGES", 0)
     stats = {}
     got = (
-        _distributed_cc(pairs, max_rounds=8, n_buckets=4, stats=stats)
+        connected_components(pairs, n_buckets=4, stats=stats)
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)
     )
     assert (got["cluster_id"] == "n0000").all(), got.head()
     assert len(got) == n
-    assert stats["rounds"] <= 8, stats
-    # block-count hygiene: the label table must stay coalesced to ~n_buckets
-    # blocks every round (the sentinel union adds a few); without the
-    # per-round repartition it grows by +|edge blocks| per round and round
-    # cost climbs linearly (measured 71s -> 7s on this very test)
-    assert max(stats["label_blocks"]) <= 4 + 4, stats["label_blocks"]
+    assert stats["path"] == "contract+stars", stats
+    assert stats["contract_passes"] <= 8, stats
+    assert len(stats["contract_edges"]) == stats["contract_passes"]
+    # one exchange per keyed pass, then the label read-off
+    assert len(blocks) == stats["contract_passes"], blocks
+    for k, b in enumerate(blocks[:-1]):
+        assert b <= pairs.num_blocks() + k + 1, blocks
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_distributed_cc_multiblock_termination():
-    """Termination must fire as soon as labels stop changing even when the
-    label table spans several blocks/components (regression: the old
-    signature pushed %-reduced partials through Dataset.sum — not
-    partition-independent — so 30 converged 20-chains kept 'changing' for
-    ~27 rounds instead of 6)."""
+def test_distributed_cc_multiblock_termination(monkeypatch):
+    """The loop stops at the first pass that changes no bucket even when
+    the edges span several blocks and components: 8 chains of 13 urls
+    split over 8 blocks take at most 8 passes."""
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import (
-        _distributed_cc, connected_components)
+    from liblevenshtein_rust_ray.stages import cluster
+    from liblevenshtein_rust_ray.stages.cluster import connected_components
 
     rows_a, rows_b = [], []
     for c in range(8):
@@ -583,43 +610,135 @@ def test_distributed_cc_multiblock_termination():
             rows_b.append(f"https://chain{c}.x/p{i + 1:03d}")
     pairs = rd.from_pandas(
         pd.DataFrame({"url_a": rows_a, "url_b": rows_b, "distance": 1})
-    )
-    stats = {}
-    got = _distributed_cc(
-        pairs, max_rounds=30, n_buckets=8, stats=stats
-    ).to_pandas()
-    assert got["cluster_id"].nunique() == 8
-    assert stats["rounds"] <= 8, stats
-    # exact parity with the driver path (min-url labels)
+    ).repartition(8).materialize()
     drv = connected_components(pairs).to_pandas()
+    monkeypatch.setattr(cluster, "DRIVER_MAX_EDGES", 0)
+    stats = {}
+    got = connected_components(pairs, n_buckets=8, stats=stats).to_pandas()
+    assert got["cluster_id"].nunique() == 8
+    assert stats["contract_passes"] <= 8, stats
+    # exact parity with the driver path (min-url labels)
     a = got.sort_values("url").reset_index(drop=True)
     b = drv.sort_values("url").reset_index(drop=True)
     assert a.equals(b)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_distributed_cc_reports_convergence(caplog):
-    """An exhausted label loop says so: ``converged`` is False (and a
-    warning is logged) when ``max_rounds`` runs out on a long path, True
-    under the default ``max_rounds``."""
+def test_distributed_cc_raises_past_pass_bound(monkeypatch):
+    """A loop that has not reached its fixpoint within its pass bound
+    raises instead of returning split components; the derived bound
+    finishes the same chain."""
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import _distributed_cc
+    from liblevenshtein_rust_ray.stages import cluster
 
     pairs = rd.from_items([
         {"url_a": f"n{i:04d}", "url_b": f"n{i + 1:04d}", "distance": 1}
         for i in range(31)
-    ])
-    cut = {}
-    _distributed_cc(pairs, max_rounds=1, n_buckets=4,
-                    stats=cut).materialize()
-    assert cut["converged"] is False and cut["rounds"] == 1, cut
-    assert "did not converge" in caplog.text
-    full = {}
-    got = _distributed_cc(pairs, max_rounds=30, n_buckets=4,
-                          stats=full).to_pandas()
-    assert full["converged"] is True, full
-    assert (got["cluster_id"] == "n0000").all()
+    ]).repartition(31).materialize()
+    monkeypatch.setattr(cluster, "DRIVER_MAX_EDGES", 0)
+    with pytest.raises(RuntimeError, match="did not reach its fixpoint in 1 passes"):
+        cluster._star_cc(pairs, n_buckets=4, max_passes=1)
+    got = cluster.connected_components(pairs, n_buckets=4).to_pandas()
+    assert (got["cluster_id"] == "n0000").all() and len(got) == 32
+
+
+def _shuffled_chains(n_chains: int, seed: int):
+    """Chains of 2-40 urls with random url order along each chain, edges
+    shuffled: min labels cannot ride the url order."""
+    import random
+
+    rng = random.Random(seed)
+    rows = []
+    for c in range(n_chains):
+        k = rng.randint(2, 40)
+        ids = [f"https://c{c:04d}.example/{rng.random():.12f}" for _ in range(k)]
+        rows += [(ids[i], ids[i + 1]) for i in range(k - 1)]
+    rng.shuffle(rows)
+    return pd.DataFrame(rows, columns=["url_a", "url_b"])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_distributed_cc_shuffled_chains_match_driver(monkeypatch):
+    """3,000 shuffled chains over 8 blocks: the forced path gives the
+    driver's 3,000 clusters (the earlier min-label loop split this graph
+    after its 30 rounds)."""
+    import ray.data as rd
+
+    from liblevenshtein_rust_ray.stages import cluster
+    from liblevenshtein_rust_ray.stages.cluster import connected_components
+
+    pairs = rd.from_pandas(_shuffled_chains(3000, 12)).repartition(8).materialize()
+    want = (connected_components(pairs).to_pandas()
+            .sort_values("url").reset_index(drop=True))
+    assert want["cluster_id"].nunique() == 3000
+    monkeypatch.setattr(cluster, "DRIVER_MAX_EDGES", 0)
+    stats: dict = {}
+    got = (connected_components(pairs, n_buckets=4, stats=stats).to_pandas()
+           .sort_values("url").reset_index(drop=True))
+    assert stats["path"] == "contract+stars", stats
+    assert got.equals(want)
+
+
+def _fixpoint_in_process(edges: pa.Table, n_buckets: int, n_blocks: int):
+    """The forced path's loop without Ray: pass 0 over ``n_blocks``
+    contiguous blocks, then keyed passes cut by ``hash_buckets`` until no
+    bucket changes.  Returns ``({url: cluster_id}, keyed passes)``."""
+    from liblevenshtein_rust_ray.stages.cluster import (
+        _both_ways, _contract_table, _star_bucket, _star_labels)
+    from liblevenshtein_rust_ray.stages.grouped import hash_buckets
+
+    step = -(-edges.num_rows // n_blocks)
+    cur = pa.concat_tables([_contract_table(edges.slice(i, step))
+                            for i in range(0, edges.num_rows, step)])
+    bound = 2 * edges.num_rows.bit_length()
+    for passes in range(1, bound + 1):
+        rows = _both_ways(cur)
+        bucket = hash_buckets(rows, ["url_a"], n_buckets)
+        outs = [_star_bucket(rows.filter(pa.array(bucket == b)))
+                for b in np.unique(bucket)]
+        cur = pa.concat_tables(outs)
+        if not any(o["changed"][0].as_py() for o in outs if o.num_rows):
+            lab = _star_labels(cur)
+            assert len(set(lab["url"].to_pylist())) == lab.num_rows
+            return dict(zip(lab["url"].to_pylist(), lab["cluster_id"].to_pylist())), passes
+    raise AssertionError(f"no fixpoint in {bound} passes")
+
+
+_URLS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "a\x00b",
+                         "a\x00c", "b\x00", "\x00", "é", "ab"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_URLS, _URLS), min_size=1, max_size=40),
+    st.integers(1, 64),
+    st.integers(1, 8),
+)
+def test_star_fixpoint_matches_driver_union_find(edges, n_buckets, n_blocks):
+    """The whole fixpoint over hash-bucket splits equals the driver's
+    union-find on random graphs with duplicate edges, self-loops and
+    NUL-bearing urls, within the pass bound."""
+    from liblevenshtein_rust_ray.stages.cluster import _cc_core
+
+    tbl = pa.table({"url_a": [a for a, _ in edges], "url_b": [b for _, b in edges]})
+    got, _ = _fixpoint_in_process(tbl, n_buckets, n_blocks)
+    uniq, label = _cc_core(tbl["url_a"].chunks, tbl["url_b"].chunks)
+    u = uniq.to_pylist()
+    assert got == {u[i]: u[label[i]] for i in range(len(u))}
+
+
+def test_star_fixpoint_shuffled_chains_in_process():
+    """Shuffled chains cut into 64 buckets, edge per block: the fixpoint
+    is exact and well inside its pass bound."""
+    from liblevenshtein_rust_ray.stages.cluster import _cc_core
+
+    tbl = pa.Table.from_pandas(_shuffled_chains(200, 3), preserve_index=False)
+    got, passes = _fixpoint_in_process(tbl, 64, tbl.num_rows)
+    uniq, label = _cc_core(tbl["url_a"].chunks, tbl["url_b"].chunks)
+    u = uniq.to_pylist()
+    assert got == {u[i]: u[label[i]] for i in range(len(u))}
+    assert passes <= 12, passes
 
 
 def test_hash_buckets_keeps_nul_suffixed_keys_apart():
@@ -978,16 +1097,15 @@ def test_popcount_u64_matches_python():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_distributed_cc_exchange_plan_parity():
-    """The distributed path's 128-bit edge-key pair-up must reproduce the
-    driver path exactly, including duplicate edges and multi-block
-    inputs."""
+def test_distributed_cc_exchange_plan_parity(monkeypatch):
+    """The forced path's keyed exchanges must reproduce the driver path
+    exactly, including duplicate edges and multi-block inputs."""
     import random
 
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import (
-        _distributed_cc, connected_components)
+    from liblevenshtein_rust_ray.stages import cluster
+    from liblevenshtein_rust_ray.stages.cluster import connected_components
 
     rng = random.Random(11)
     edges = []
@@ -1001,7 +1119,8 @@ def test_distributed_cc_exchange_plan_parity():
     pairs = rd.from_pandas(pd.DataFrame(edges)).repartition(6)
     a = (connected_components(pairs).to_pandas()
          .sort_values("url").reset_index(drop=True))
-    b = (_distributed_cc(pairs, max_rounds=30, n_buckets=4).to_pandas()
+    monkeypatch.setattr(cluster, "DRIVER_MAX_EDGES", 0)
+    b = (connected_components(pairs, n_buckets=4).to_pandas()
          .sort_values("url").reset_index(drop=True))
     assert a.equals(b)
 
@@ -1013,20 +1132,19 @@ def test_distributed_cc_exchange_plan_parity():
     # side-0 order, so a shared edge key pairs the wrong endpoints
     [("a", "c\x00b"), ("a\x00c", "b")],
 ])
-def test_distributed_cc_nul_urls_do_not_share_edge_keys(edges):
+def test_distributed_cc_nul_urls_do_not_share_edge_keys(edges, monkeypatch):
     """Two edges whose ``url_a + NUL + url_b`` strings coincide are still
     two edges: both paths keep their true components apart."""
     import ray.data as rd
 
-    from liblevenshtein_rust_ray.stages.cluster import (
-        _distributed_cc, connected_components)
+    from liblevenshtein_rust_ray.stages import cluster
+    from liblevenshtein_rust_ray.stages.cluster import connected_components
 
     pairs = rd.from_pandas(pd.DataFrame(
         {"url_a": [a for a, _ in edges], "url_b": [b for _, b in edges],
          "distance": [1] * len(edges)}))
     want = {u: min(a, b) for a, b in edges for u in (a, b)}
-    plans = [connected_components(pairs),
-             _distributed_cc(pairs, max_rounds=30, n_buckets=4)]
-    for out in plans:
-        df = out.to_pandas()
+    for threshold in (cluster.DRIVER_MAX_EDGES, 0):
+        monkeypatch.setattr(cluster, "DRIVER_MAX_EDGES", threshold)
+        df = connected_components(pairs, n_buckets=4).to_pandas()
         assert dict(zip(df["url"], df["cluster_id"])) == want

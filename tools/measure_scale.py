@@ -7,8 +7,10 @@ Usage: python tools/measure_scale.py SF [--distributed] [--corpus-dir DIR]
 Generates (or reuses) the deterministic synthetic corpus at
 ``/tmp/corpus_sf{SF}``, times er_pairs and clustering separately, and
 prints one JSON line.  Corpus generation is excluded from the timings.
-Clustering runs ``connected_components`` (which picks its own path), or
-with ``--distributed`` its distributed path ``_distributed_cc`` directly.
+Clustering runs ``connected_components``, which picks its own path;
+``--distributed`` forces star contraction to its fixpoint by setting
+``cluster.DRIVER_MAX_EDGES = 0`` (``cc_stats`` then holds
+``contract_passes`` and the per-pass ``contract_edges``).
 """
 
 import argparse
@@ -25,7 +27,7 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("sf", type=float)
     ap.add_argument("--distributed", action="store_true",
-                    help="cluster with _distributed_cc directly")
+                    help="force the star-contraction path (DRIVER_MAX_EDGES = 0)")
     ap.add_argument("--corpus-dir", default=None)
     ap.add_argument("--num-cpus", type=int,
                     default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
@@ -51,8 +53,7 @@ def main() -> None:
 
     configure_data_context()
     from liblevenshtein_rust_ray.pipelines.entity_resolution import er_pairs
-    from liblevenshtein_rust_ray.stages.cluster import (
-        _distributed_cc, connected_components)
+    from liblevenshtein_rust_ray.stages import cluster
 
     pages = rd.read_parquet(f"{corpus}/pages")
     n_pages = pages.count()
@@ -64,10 +65,8 @@ def main() -> None:
     cc_stats: dict = {}
     t0 = time.time()
     if args.distributed:
-        clusters = _distributed_cc(pairs, max_rounds=30, stats=cc_stats)
-    else:
-        clusters = connected_components(pairs, stats=cc_stats)
-    clusters = clusters.materialize()
+        cluster.DRIVER_MAX_EDGES = 0
+    clusters = cluster.connected_components(pairs, stats=cc_stats).materialize()
     cc_s = round(time.time() - t0, 1)
     n_urls = clusters.count()
     ray.shutdown()
