@@ -133,6 +133,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
     import numpy as np
     import pyarrow as pa
 
+    # (prefix, term) rows of the two prefix-expansion queries
+    _PREFIX_TERMS = pa.schema([("prefix", pa.string()), ("term", pa.string())])
+
+    def _by_first_char(t: pa.Table):
+        """Sorted distinct tokens of ``t``, one list per first character."""
+        g = t.group_by("c0").aggregate([("tok", "distinct")])
+        return (sorted(v) for v in g.column("tok_distinct").to_pylist())
+
     def _rd(sf_dir, table, columns=None):
         import pyarrow.parquet as pq
         import ray.data as rd
@@ -183,7 +191,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return bucketed_apply(
             _rd(sf_dir, "documents", ["text"]).map_batches(toks, batch_format="pyarrow"),
             "tok",
-            lambda df: df.drop_duplicates("tok"),
+            lambda t: t.group_by("tok").aggregate([]),
+            empty_result=pa.schema([("tok", pa.string())]).empty_table(),
         )
 
     def fuzzy_vocab_pairs(sf_dir):
@@ -422,8 +431,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         first char, so each first-char partition holds every token a local
         trie needs — per-partition tries, no repartition(1), and each
         prefix is derived in exactly one partition (no duplicate rows)."""
-        import pandas as pd
-
         from liblevenshtein_rust_ray.kernel import build_trie
         from liblevenshtein_rust_ray.kernel.query import query as kq
         from liblevenshtein_rust_ray.stages.grouped import bucketed_apply
@@ -435,25 +442,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "c0": pa.array([x[:1] for x in toks], type=pa.string()),
             })
 
-        def expand(df: pd.DataFrame) -> pd.DataFrame:
+        def expand(t: pa.Table) -> pa.Table:
             out_p, out_t = [], []
-            for _c, g in df.groupby("c0", sort=False):
-                toks = sorted(set(g["tok"]))
+            for toks in _by_first_char(t):
                 trie = build_trie(toks)
                 for p in sorted({x[:3] for x in toks if len(x) >= 3}):
                     for cand in kq(trie, p, 0, prefix_mode=True):
                         out_p.append(p)
                         out_t.append(cand.term)
-            return pd.DataFrame({"prefix": pd.Series(out_p, dtype="object"),
-                                 "term": pd.Series(out_t, dtype="object")})
+            return pa.table([out_p, out_t], schema=_PREFIX_TERMS)
 
         return bucketed_apply(
             _vocab_ds(sf_dir).map_batches(add_c0, batch_format="pyarrow"),
-            "c0",
-            expand,
-            empty_result=pd.DataFrame({"prefix": pd.Series(dtype="object"),
-                                       "term": pd.Series(dtype="object")}),
-        )
+            "c0", expand, empty_result=_PREFIX_TERMS.empty_table())
 
     def prefix_search_tokens_zipper(sf_dir):
         """Same prefix expansion through the zipper surface
@@ -462,8 +463,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         prefix_zipper.rs:1-50): O(log n) descent + O(m) subtree iteration
         per prefix instead of an automaton walk; shares
         prefix_search_tokens's SQL oracle."""
-        import pandas as pd
-
         from liblevenshtein_rust_ray.kernel.arraytrie import ArrayTrie
         from liblevenshtein_rust_ray.kernel.zipper import with_prefix
         from liblevenshtein_rust_ray.stages.grouped import bucketed_apply
@@ -475,10 +474,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "c0": pa.array([x[:1] for x in toks], type=pa.string()),
             })
 
-        def expand(df: pd.DataFrame) -> pd.DataFrame:
+        def expand(t: pa.Table) -> pa.Table:
             out_p, out_t = [], []
-            for _c, g in df.groupby("c0", sort=False):
-                toks = sorted(set(g["tok"]))
+            for toks in _by_first_char(t):
                 at = ArrayTrie.from_terms(toks, presorted=True)
                 for p in sorted({x[:3] for x in toks if len(x) >= 3}):
                     it = with_prefix(at, p)
@@ -487,16 +485,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     for term, _v in it:
                         out_p.append(p)
                         out_t.append(term)
-            return pd.DataFrame({"prefix": pd.Series(out_p, dtype="object"),
-                                 "term": pd.Series(out_t, dtype="object")})
+            return pa.table([out_p, out_t], schema=_PREFIX_TERMS)
 
         return bucketed_apply(
             _vocab_ds(sf_dir).map_batches(add_c0, batch_format="pyarrow"),
-            "c0",
-            expand,
-            empty_result=pd.DataFrame({"prefix": pd.Series(dtype="object"),
-                                       "term": pd.Series(dtype="object")}),
-        )
+            "c0", expand, empty_result=_PREFIX_TERMS.empty_table())
 
     # -------------------------- dedup family --------------------------
     def exact_dedup_part(sf_dir):
@@ -904,7 +897,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
             _rd(sf_dir, "part", ["p_name"]).map_batches(
                 variants, batch_format="pyarrow"),
             "val",
-            lambda df: df.drop_duplicates("val"),
+            lambda t: t.group_by("val").aggregate([]),
+            empty_result=pa.schema([("val", pa.string())]).empty_table(),
         )
 
         ops = OperationSet.phonetic_english_basic()
@@ -1227,7 +1221,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         old rows.  The snapshot combine (newest ts, min-url tie, count
         sum) is associative, so the merged result provably equals the
         from-scratch dedup and SHARES url_canonical_dedup's SQL oracle."""
-        import pandas as pd
         import pyarrow as pa
         import pyarrow.compute as pc
         import ray.data as rd
@@ -1263,15 +1256,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "kept_ts": t.column("ts"),
                 "n_snapshots": pa.array([1] * t.num_rows, type=pa.int64()),
             }), batch_format="pyarrow")
-        combine = _make_combine(())
-        empty = pd.DataFrame({
-            "canonical_url": pd.Series([], dtype=object),
-            "kept_url": pd.Series([], dtype=object),
-            "kept_ts": pd.Series([], dtype="int64"),
-            "n_snapshots": pd.Series([], dtype="int64"),
-        })
-        return bucketed_apply(base.union(day1_partial), "canonical_url",
-                              combine, n_buckets=64, empty_result=empty)
+        return bucketed_apply(
+            base.union(day1_partial), "canonical_url", _make_combine(()),
+            n_buckets=64, empty_result=pa.schema([
+                ("canonical_url", pa.string()), ("kept_url", pa.string()),
+                ("kept_ts", pa.int64()), ("n_snapshots", pa.int64())
+            ]).empty_table())
 
     def host_stats_corpus(sf_dir):
         """Domain-level curation stats (stages/urls.py host_stats): pages,
@@ -1329,7 +1319,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         (backend="path_map"), and dump iter_items.  The round-tripped
         (term, value) relation must equal the GROUP BY min oracle —
         any loss in dump/detect/reload/iterate breaks the value hash."""
-        import pandas as pd
         from liblevenshtein_rust_ray.kernel import build_mapped_trie
         from liblevenshtein_rust_ray.stages.grouped import bucketed_apply
         from liblevenshtein_rust_ray.state import dictionary_io as dio
@@ -1337,10 +1326,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         part = _rd(sf_dir, "part", ["p_partkey", "p_name"])
         agg = bucketed_apply(
             part, "p_name",
-            lambda df: df.groupby("p_name", as_index=False)["p_partkey"].min(),
-            empty_result=pd.DataFrame({
-                "p_name": pd.Series(dtype="object"),
-                "p_partkey": pd.Series(dtype="int64")}),
+            lambda t: t.group_by("p_name").aggregate([("p_partkey", "min")])
+            .rename_columns(["p_name", "p_partkey"]),
+            empty_result=pa.schema([("p_name", pa.string()),
+                                    ("p_partkey", pa.int64())]).empty_table(),
         ).to_pandas()  # vocabulary-sized (distinct names), driver-safe
         d = build_mapped_trie(
             sorted(zip(agg["p_name"], (int(v) for v in agg["p_partkey"]))))

@@ -73,9 +73,11 @@ def _patch_empty_bundle_schema_warning() -> None:
     # b'pandas' schema metadata whose dict makes pa.Schema UNHASHABLE, so
     # Ray's unify_schemas logs "Failed to hash the schemas (for
     # deduplication)" per bundle pair (transform_pyarrow.py:181) and loses
-    # only its early-exit — the unify itself still succeeds.  We write our
-    # own parquet metadata-free (stages/grouped.py strips it); for
-    # read-only third-party inputs, drop just that log line (driver side
+    # only its early-exit — the unify itself still succeeds.  Our exchange
+    # blocks are metadata-free (stages/grouped.py's bucketed_apply drops
+    # the metadata before the shuffle, and bucket functions build Arrow
+    # tables, not from_pandas ones); for read-only third-party inputs,
+    # drop just that log line (driver side
     # here; quiet_worker_logging installs the same filter in workers).
     # Public logging API — safe regardless of the executor patch below.
     quiet_worker_logging()

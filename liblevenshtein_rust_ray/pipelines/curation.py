@@ -27,7 +27,7 @@ a resumed run starts from it) instead of re-executing the screen+dedup
 subtree per consumer.
 """
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 
 
@@ -61,7 +61,6 @@ def curate_documents(ds, min_tokens: int = 10, max_punct: float = 0.2,
         # fully vectorized (VERDICT r02 task 2): two RE2 count kernels +
         # the shared ~60-kernel langid profile scorer — this is a
         # full-corpus pass at 100 TB, so no Python row loop
-        import numpy as np
         import pyarrow.compute as pc
 
         text = pc.coalesce(t.column("text"), pa.scalar("", type=pa.string()))
@@ -106,7 +105,6 @@ def curate_documents(ds, min_tokens: int = 10, max_punct: float = 0.2,
         # Common case: the drop set (≤ candidate pairs ≈ duplicate fraction
         # × docs) fits in one array — broadcast it via the object store and
         # anti-join as a stateless vectorized filter, no extra exchange.
-        import numpy as np
         import ray
 
         ids = np.unique(np.concatenate(
@@ -138,18 +136,18 @@ def curate_documents(ds, min_tokens: int = 10, max_punct: float = 0.2,
         batch_format="pyarrow",
     )
 
-    def anti(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("doc_id", sort=False)["is_drop"].any()
-        keep_ids = set(g[~g].index)
-        out = df[(~df["is_drop"]) & df["doc_id"].isin(keep_ids)]
-        return out[["doc_id", "n_tokens"]]
+    def anti(t: pa.Table) -> pa.Table:
+        ids = t.column("doc_id").to_numpy()
+        dropped = ids[t.column("is_drop").to_numpy(zero_copy_only=False)]
+        return t.filter(pa.array(~np.isin(ids, dropped))).select(
+            ["doc_id", "n_tokens"])
 
     return bucketed_apply(
         docs.union(drops),
         "doc_id",
         anti,
-        empty_result=pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
-                                   "n_tokens": pd.Series(dtype="int64")}),
+        empty_result=pa.schema([("doc_id", pa.int64()),
+                                ("n_tokens", pa.int64())]).empty_table(),
     )
 
 
@@ -185,12 +183,12 @@ def neardup_canonicalize(ds, text_col: str = "text", id_col: str = "doc_id",
     cluster ids round-trip through string casts, so non-integer id
     types are rejected up front and negative ids raise inside the
     corpus passes rather than being silently misclassified."""
-    import numpy as np
     import pyarrow.compute as pc
 
     from ..stages.cluster import connected_components
     from ..stages.dedup import minhash_lsh_pairs
     from ..stages.grouped import bucketed_apply
+    from ..stages.keys import key_codes, run_ranks
 
     sch = ds.schema()  # ray.data Schema: parallel .names / .types
     id_type = dict(zip(sch.names, sch.types))[id_col]
@@ -301,35 +299,32 @@ def neardup_canonicalize(ds, text_col: str = "text", id_col: str = "doc_id",
             "n_tokens": t.column("n_tokens").combine_chunks(),
         })
 
-    def join_members(df: pd.DataFrame) -> pd.DataFrame:
-        mem = df[df["n_tokens"] < 0][[id_col, "cl"]]
-        cnt = df[df["n_tokens"] >= 0][[id_col, "n_tokens"]]
-        m = mem.merge(cnt, on=id_col, how="inner")
-        return m[[id_col, "cl", "n_tokens"]]
+    def join_members(t: pa.Table) -> pa.Table:
+        neg = pc.less(t.column("n_tokens"), 0)
+        mem = t.filter(neg).select([id_col, "cl"])
+        cnt = t.filter(pc.invert(neg)).select([id_col, "n_tokens"])
+        return mem.join(cnt, id_col, join_type="inner").select(
+            [id_col, "cl", "n_tokens"])
 
     members = bucketed_apply(
         comp.map_batches(member_rows, batch_format="pyarrow").union(
             toks.map_batches(tok_tagged, batch_format="pyarrow")),
         id_col, join_members,
-        empty_result=pd.DataFrame({
-            id_col: pd.Series(dtype="int64"),
-            "cl": pd.Series(dtype="object"),
-            "n_tokens": pd.Series(dtype="int64")}),
+        empty_result=pa.schema([(id_col, pa.int64()), ("cl", pa.string()),
+                                ("n_tokens", pa.int64())]).empty_table(),
     )
+    canon = pa.schema([(id_col, pa.int64()), ("canon_id", pa.int64())])
 
     # exchange 2 (cluster-keyed): representative per cluster, map members
-    def pick_rep(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["cl", "n_tokens", id_col],
-                            ascending=[True, False, True])
-        rep = df.groupby("cl", sort=False)[id_col].transform("first")
-        return pd.DataFrame({id_col: df[id_col],
-                             "canon_id": rep.astype("int64")})
+    def pick_rep(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("cl", "ascending"), ("n_tokens", "descending"),
+                       (id_col, "ascending")])
+        ids = t.column(id_col).to_numpy()
+        first = np.arange(len(ids)) + 1 - run_ranks(key_codes(t.column("cl")))
+        return pa.table([ids, ids[first]], schema=canon)
 
-    mapped = bucketed_apply(
-        members, "cl", pick_rep,
-        empty_result=pd.DataFrame({id_col: pd.Series(dtype="int64"),
-                                   "canon_id": pd.Series(dtype="int64")}),
-    )
+    mapped = bucketed_apply(members, "cl", pick_rep,
+                            empty_result=canon.empty_table())
 
     # exchange 3 (doc-keyed): full corpus LEFT JOIN mapped → self default
     def all_tagged(t: pa.Table) -> pa.Table:
@@ -338,18 +333,15 @@ def neardup_canonicalize(ds, text_col: str = "text", id_col: str = "doc_id",
             "canon_id": pa.array(np.full(t.num_rows, -1, dtype=np.int64)),
         })
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        m = df[df["canon_id"] >= 0]
-        base = df[df["canon_id"] < 0][[id_col]].drop_duplicates()
-        out = base.merge(m[[id_col, "canon_id"]], on=id_col, how="left")
-        out["canon_id"] = out["canon_id"].fillna(
-            out[id_col]).astype("int64")
-        return out
+    def finish(t: pa.Table) -> pa.Table:
+        m = pc.greater_equal(t.column("canon_id"), 0)
+        base = t.filter(pc.invert(m)).group_by(id_col).aggregate([])
+        out = base.join(t.filter(m), id_col, join_type="left outer")
+        return pa.table([out.column(id_col), pc.coalesce(
+            out.column("canon_id"), out.column(id_col))], schema=canon)
 
     return bucketed_apply(
         ds.select_columns([id_col]).map_batches(
             all_tagged, batch_format="pyarrow").union(mapped),
-        id_col, finish,
-        empty_result=pd.DataFrame({id_col: pd.Series(dtype="int64"),
-                                   "canon_id": pd.Series(dtype="int64")}),
+        id_col, finish, empty_result=canon.empty_table(),
     )

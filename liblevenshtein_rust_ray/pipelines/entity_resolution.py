@@ -31,7 +31,7 @@ from ..kernel import STANDARD
 from ..stages.blocking import blocking_keys_batch
 from ..stages.extract import extract_batch, EXTRACTOR_VERSION
 from ..stages.cluster import connected_components
-from ..stages.grouped import bucketed_apply_arrow
+from ..stages.grouped import bucketed_apply
 from ..stages.scorer import (
     EDGE_COLUMNS, _edges_schema, _empty_edges_arrow, score_bucket_vectorized_arrow,
 )
@@ -249,7 +249,7 @@ def er_pairs(
         # exchanges — row-level strings never become Python objects (only
         # each bucket's DISTINCT strings cross into Python, for the DP
         # kernel).
-        edges = bucketed_apply_arrow(
+        edges = bucketed_apply(
             _key_rows(source), "block_key",
             lambda tbl: score_bucket_vectorized_arrow(tbl, **score_kw),
             n_buckets=nb, empty_result=_empty_edges_arrow(),
@@ -258,7 +258,7 @@ def er_pairs(
         # endpoint (measured at sf5.0: single-endpoint co-location
         # contracts <1%), so single-column keys buy downstream
         # clustering nothing and the two-column hash spreads best.
-        return bucketed_apply_arrow(
+        return bucketed_apply(
             edges, ["url_a", "url_b"], _min_dedup,
             n_buckets=nb, empty_result=_empty_edges_arrow(),
         )
@@ -345,11 +345,11 @@ def _rescore_blocks(keys, base_pairs, removed, score_kw):
         return t.filter(pc.invert(pc.or_(pc.is_in(t["url_a"], value_set=rm),
                                          pc.is_in(t["url_b"], value_set=rm))))
 
-    delta = bucketed_apply_arrow(keys, "block_key", score_hot, n_buckets=64,
+    delta = bucketed_apply(keys, "block_key", score_hot, n_buckets=64,
                                  empty_result=_empty_edges_arrow())
     if base_pairs is not None:
         delta = base_pairs.map_batches(base_edges, batch_format="pyarrow").union(delta)
-    return bucketed_apply_arrow(delta, ["url_a", "url_b"], _min_dedup, n_buckets=64,
+    return bucketed_apply(delta, ["url_a", "url_b"], _min_dedup, n_buckets=64,
                                 empty_result=_empty_edges_arrow())
 
 

@@ -19,6 +19,7 @@ import pyarrow as pa
 
 from ..kernel import STANDARD, build_trie
 from ..kernel.query import query as kernel_query
+from ..stages.scorer import _sorted_codes
 
 _LEN_BUCKET = 16
 # blocks whose (length-filtered) pair count stays under this use the numpy
@@ -81,12 +82,25 @@ def _len_keys(s: str, n: int) -> list[int]:
 
 
 def _distinct(ds, col: str):
-    # vectorized distinct: per-bucket pandas drop_duplicates (C path)
+    # vectorized distinct: per-bucket Arrow group_by (a null stays one row)
     from ..stages.grouped import bucketed_apply
 
     return bucketed_apply(
-        ds.select_columns([col]), col, lambda df: df.drop_duplicates(col)
+        ds.select_columns([col]), col, lambda t: t.group_by(col).aggregate([])
     )
+
+
+def _min_distance(a: str, b: str):
+    """Bucket function: one row per (a, b) pair, at its least distance."""
+    return lambda t: t.group_by([a, b], use_threads=False).aggregate(
+        [("distance", "min")]).rename_columns([a, b, "distance"])
+
+
+def _pair_schema(a: str, b: str, score_dtype: str = "int64") -> pa.Schema:
+    import numpy as np
+
+    return pa.schema([(a, pa.string()), (b, pa.string()),
+                      ("distance", pa.from_numpy_dtype(np.dtype(score_dtype)))])
 
 
 def _deletion_variants(v: str, n: int) -> set[str]:
@@ -99,6 +113,19 @@ def _deletion_variants(v: str, n: int) -> set[str]:
         frontier = nxt - outs
         outs |= nxt
     return outs
+
+
+def _sig_hashes(variants: list):
+    """63-bit signature of each deletion variant: pandas siphash (fixed key,
+    the same in every process) of its UTF-8 bytes.  Hashing the str itself
+    would compare it only up to its first NUL, in a per-batch factorize
+    that makes the value depend on the rest of the batch.  Collisions only
+    ADD candidates — the DP verify keeps the pair set exact."""
+    import numpy as np
+
+    b = pa.array(variants, type=pa.string()).cast(pa.large_binary())
+    h = pd.util.hash_pandas_object(b.to_pandas(), index=False).to_numpy()
+    return (h & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
 
 
 def _deletion_self_join(ds, col: str, n: int, algorithm: str,
@@ -129,44 +156,35 @@ def _deletion_self_join(ds, col: str, n: int, algorithm: str,
             for s in _deletion_variants(v, n):
                 variants.append(s)
                 out_v.append(v)
-        # vectorized cross-process-deterministic hash (pandas siphash,
-        # the same family bucketed_apply keys on); collisions only ADD
-        # candidates — the DP verify keeps the pair set exact
-        sig = pd.util.hash_pandas_object(
-            pd.Series(variants, dtype="object"), index=False).to_numpy()
         return pa.table({
-            "sig": pa.array((sig & np.uint64(0x7FFFFFFFFFFFFFFF))
-                            .astype(np.int64)),
+            "sig": _sig_hashes(variants),
             "val": pa.array(out_v, type=pa.string())})
 
-    empty = pd.DataFrame({"val_a": pd.Series(dtype="object"),
-                          "val_b": pd.Series(dtype="object"),
-                          "distance": pd.Series(dtype=score_dtype)})
+    schema = _pair_schema("val_a", "val_b", score_dtype)
 
-    def score_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["sig", "val"])
+    def score_bucket(t: pa.Table) -> pa.Table:
+        code, uniq = _sorted_codes(t.column("val"))
+        df = pd.DataFrame({"sig": t.column("sig").to_numpy(), "v": code}) \
+            .drop_duplicates()
         m = df.merge(df, on="sig")  # C-path in-group pair enumeration
-        m = m[m["val_x"] < m["val_y"]].drop_duplicates(["val_x", "val_y"])
+        m = m[m["v_x"] < m["v_y"]].drop_duplicates(["v_x", "v_y"])
         if not len(m):
-            return empty
-        a = m["val_x"].tolist()
-        b = m["val_y"].tolist()
-        d = np.asarray(batch_distances(a, b, n, algorithm))
-        keep = d <= n
-        return pd.DataFrame({
-            "val_a": pd.Series(np.asarray(a, dtype=object)[keep]),
-            "val_b": pd.Series(np.asarray(b, dtype=object)[keep]),
-            "distance": pd.Series(d[keep]).astype(score_dtype),
-        })
+            return schema.empty_table()
+        a = uniq.take(pa.array(m["v_x"].to_numpy()))
+        b = uniq.take(pa.array(m["v_y"].to_numpy()))
+        d = np.asarray(batch_distances(a.to_pylist(), b.to_pylist(), n,
+                                       algorithm), dtype=np.int64)
+        keep = pa.array(d <= n)
+        return pa.table([a.filter(keep), b.filter(keep), d[d <= n]],
+                        schema=schema)
 
     sigs = _distinct(ds, col).map_batches(explode, batch_format="pyarrow")
     pairs = bucketed_apply(sigs, "sig", score_bucket, n_buckets=n_buckets,
-                           empty_result=empty)
+                           empty_result=schema.empty_table())
     # the same pair verifies in every shared-signature bucket — exact dedup
-    return bucketed_apply(
-        pairs, ["val_a", "val_b"],
-        lambda df: df.groupby(["val_a", "val_b"], as_index=False)["distance"].min(),
-        empty_result=empty)
+    return bucketed_apply(pairs, ["val_a", "val_b"],
+                          _min_distance("val_a", "val_b"),
+                          empty_result=schema.empty_table())
 
 
 def fuzzy_self_join(ds, col: str, n: int = 2, algorithm: str = STANDARD, subst=None,
@@ -219,8 +237,10 @@ def fuzzy_self_join(ds, col: str, n: int = 2, algorithm: str = STANDARD, subst=N
         return pa.table({"bucket": pa.array(out_b, type=pa.int32()),
                          "val": pa.array(out_v, type=pa.string())})
 
-    def score(g: pd.DataFrame) -> pd.DataFrame:
-        vals = sorted(set(g["val"]))
+    schema = _pair_schema("val_a", "val_b", score_dtype)
+
+    def score(g: pa.Table) -> pa.Table:
+        vals = sorted(set(g.column("val").to_pylist()))
         a_out, b_out, d_out = [], [], []
         if len(vals) > 1:
             if engine == "arraytrie":
@@ -234,10 +254,7 @@ def fuzzy_self_join(ds, col: str, n: int = 2, algorithm: str = STANDARD, subst=N
                             a_out.append(q)
                             b_out.append(term)
                             d_out.append(dist)
-                return pd.DataFrame(
-                    {"val_a": pd.Series(a_out, dtype="object"),
-                     "val_b": pd.Series(b_out, dtype="object"),
-                     "distance": pd.Series(d_out, dtype=score_dtype)})
+                return pa.table([a_out, b_out, d_out], schema=schema)
             vec = _vec_self_pairs(vals, n, algorithm, subst,
                                   pair_scorer=pair_scorer, max_score=max_score,
                                   len_diff=len_diff)
@@ -251,11 +268,8 @@ def fuzzy_self_join(ds, col: str, n: int = 2, algorithm: str = STANDARD, subst=N
                             a_out.append(q)
                             b_out.append(cand.term)
                             d_out.append(cand.distance)
-        return pd.DataFrame(
-            {"val_a": pd.Series(a_out, dtype="object"),
-             "val_b": pd.Series(b_out, dtype="object"),
-             "distance": pd.Series(d_out, dtype=score_dtype)}
-        )
+        return pa.table([a_out, b_out, pd.Series(d_out, dtype=score_dtype)],
+                        schema=schema)
 
     from ..stages.grouped import bucketed_apply
 
@@ -263,19 +277,12 @@ def fuzzy_self_join(ds, col: str, n: int = 2, algorithm: str = STANDARD, subst=N
         _distinct(ds, col)
         .map_batches(explode, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(score, batch_format="pandas")
+        .map_groups(score, batch_format="pyarrow")
     )
-    # a pair can appear in two buckets (edge rule) — exact dedup (C path)
-    return bucketed_apply(
-        pairs,
-        ["val_a", "val_b"],
-        lambda df: df.groupby(["val_a", "val_b"], as_index=False)["distance"].min(),
-        empty_result=pd.DataFrame(
-            {"val_a": pd.Series(dtype="object"),
-             "val_b": pd.Series(dtype="object"),
-             "distance": pd.Series(dtype=score_dtype)}
-        ),
-    )
+    # a pair can appear in two buckets (edge rule) — exact dedup
+    return bucketed_apply(pairs, ["val_a", "val_b"],
+                          _min_distance("val_a", "val_b"),
+                          empty_result=schema.empty_table())
 
 
 def deletion_signatures(ds, col: str, n: int):
@@ -296,11 +303,8 @@ def deletion_signatures(ds, col: str, n: int):
             for s in _deletion_variants(v, n):
                 variants.append(s)
                 out_v.append(v)
-        sig = pd.util.hash_pandas_object(
-            pd.Series(variants, dtype="object"), index=False).to_numpy()
         return pa.table({
-            "sig": pa.array((sig & np.uint64(0x7FFFFFFFFFFFFFFF))
-                            .astype(np.int64)),
+            "sig": _sig_hashes(variants),
             "val": pa.array(out_v, type=pa.string())})
 
     return _distinct(ds, col).map_batches(explode, batch_format="pyarrow")
@@ -333,40 +337,28 @@ def _deletion_probe_join(left, left_col: str, right_sigs, n: int,
         for s in _deletion_variants(v, n):
             variants.append(s)
             owner.append(v)
-    sig = pd.util.hash_pandas_object(
-        pd.Series(variants, dtype="object"), index=False).to_numpy()
-    probe = pd.DataFrame({
-        "sig": (sig & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64),
-        "tok": pd.Series(owner, dtype="object"),
-    })
-    probe_ref = ray.put(probe)
+    probe_ref = ray.put(pa.table({
+        "sig": _sig_hashes(variants),
+        "tok": pa.array(owner, type=pa.string()),
+    }))
+    schema = _pair_schema("left_val", "right_val")
 
-    empty = pd.DataFrame({"left_val": pd.Series(dtype="object"),
-                          "right_val": pd.Series(dtype="object"),
-                          "distance": pd.Series(dtype="int64")})
-
-    def match(t: pa.Table) -> pd.DataFrame:
+    def match(t: pa.Table) -> pa.Table:
         p = ray.get(probe_ref)  # zero-copy handle from the local store
-        df = pd.DataFrame({"sig": t.column("sig").to_pandas(),
-                           "word": t.column("val").to_pandas()})
-        m = df.merge(p, on="sig")[["tok", "word"]].drop_duplicates()
-        if not len(m):
-            return empty
+        m = t.select(["sig", "val"]).join(p, "sig", join_type="inner") \
+            .group_by(["tok", "val"]).aggregate([])
         d = np.asarray(batch_distances(
-            m["tok"].tolist(), m["word"].tolist(), n, algorithm))
-        keep = d <= n
-        return pd.DataFrame({
-            "left_val": m["tok"].to_numpy(dtype=object)[keep],
-            "right_val": m["word"].to_numpy(dtype=object)[keep],
-            "distance": pd.Series(d[keep]).astype("int64"),
-        })
+            m.column("tok").to_pylist(), m.column("val").to_pylist(), n,
+            algorithm), dtype=np.int64)
+        keep = pa.array(d <= n)
+        return pa.table([m.column("tok").filter(keep),
+                         m.column("val").filter(keep), d[d <= n]],
+                        schema=schema)
 
     pairs = right_sigs.map_batches(match, batch_format="pyarrow")
-    return bucketed_apply(
-        pairs, ["left_val", "right_val"],
-        lambda df: df.groupby(["left_val", "right_val"],
-                              as_index=False)["distance"].min(),
-        empty_result=empty)
+    return bucketed_apply(pairs, ["left_val", "right_val"],
+                          _min_distance("left_val", "right_val"),
+                          empty_result=schema.empty_table())
 
 
 def _deletion_join(left, right, left_col: str, right_col: str, n: int,
@@ -393,11 +385,8 @@ def _deletion_join(left, right, left_col: str, right_col: str, n: int,
                 for s in _deletion_variants(v, n):
                     variants.append(s)
                     out_v.append(v)
-            sig = pd.util.hash_pandas_object(
-                pd.Series(variants, dtype="object"), index=False).to_numpy()
             return pa.table({
-                "sig": pa.array((sig & np.uint64(0x7FFFFFFFFFFFFFFF))
-                                .astype(np.int64)),
+                "sig": _sig_hashes(variants),
                 "val": pa.array(out_v, type=pa.string()),
                 "side": pa.array([side] * len(out_v), type=pa.string())})
         return fn
@@ -407,34 +396,31 @@ def _deletion_join(left, right, left_col: str, right_col: str, n: int,
     ).union(
         _distinct(right, right_col).map_batches(
             explode("r", right_col), batch_format="pyarrow"))
-    empty = pd.DataFrame({"left_val": pd.Series(dtype="object"),
-                          "right_val": pd.Series(dtype="object"),
-                          "distance": pd.Series(dtype="int64")})
+    schema = _pair_schema("left_val", "right_val")
 
-    def score_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["sig", "val", "side"])
+    def score_bucket(t: pa.Table) -> pa.Table:
+        code, uniq = _sorted_codes(t.column("val"))
+        df = pd.DataFrame({"sig": t.column("sig").to_numpy(), "v": code,
+                           "side": t.column("side").to_numpy(
+                               zero_copy_only=False)}).drop_duplicates()
         lt = df[df["side"] == "l"]
         rt = df[df["side"] == "r"]
-        m = lt.merge(rt, on="sig").drop_duplicates(["val_x", "val_y"])
+        m = lt.merge(rt, on="sig").drop_duplicates(["v_x", "v_y"])
         if not len(m):
-            return empty
-        a = m["val_x"].tolist()
-        b = m["val_y"].tolist()
-        d = np.asarray(batch_distances(a, b, n, algorithm))
-        keep = d <= n
-        return pd.DataFrame({
-            "left_val": pd.Series(np.asarray(a, dtype=object)[keep]),
-            "right_val": pd.Series(np.asarray(b, dtype=object)[keep]),
-            "distance": pd.Series(d[keep]).astype("int64"),
-        })
+            return schema.empty_table()
+        a = uniq.take(pa.array(m["v_x"].to_numpy()))
+        b = uniq.take(pa.array(m["v_y"].to_numpy()))
+        d = np.asarray(batch_distances(a.to_pylist(), b.to_pylist(), n,
+                                       algorithm), dtype=np.int64)
+        keep = pa.array(d <= n)
+        return pa.table([a.filter(keep), b.filter(keep), d[d <= n]],
+                        schema=schema)
 
     pairs = bucketed_apply(tagged, "sig", score_bucket, n_buckets=n_buckets,
-                           empty_result=empty)
-    return bucketed_apply(
-        pairs, ["left_val", "right_val"],
-        lambda df: df.groupby(["left_val", "right_val"],
-                              as_index=False)["distance"].min(),
-        empty_result=empty)
+                           empty_result=schema.empty_table())
+    return bucketed_apply(pairs, ["left_val", "right_val"],
+                          _min_distance("left_val", "right_val"),
+                          empty_result=schema.empty_table())
 
 
 def fuzzy_join(left, right, left_col: str, right_col: str, n: int = 2,
@@ -482,13 +468,17 @@ def fuzzy_join(left, right, left_col: str, right_col: str, n: int = 2,
         )
     )
 
-    def score(g: pd.DataFrame) -> pd.DataFrame:
+    schema = _pair_schema("left_val", "right_val")
+
+    def score(g: pa.Table) -> pa.Table:
         import numpy as np
 
         from ..kernel.vectorized import batch_distances
 
-        lvals = sorted(set(g.loc[g["side"] == "l", "val"]))
-        rvals = sorted(set(g.loc[g["side"] == "r", "val"]))
+        vals = g.column("val").to_pylist()
+        sides = g.column("side").to_pylist()
+        lvals = sorted({v for v, s in zip(vals, sides) if s == "l"})
+        rvals = sorted({v for v, s in zip(vals, sides) if s == "r"})
         a_out, b_out, d_out = [], [], []
         if lvals and rvals:
             if len(lvals) * len(rvals) <= _VEC_MAX_PAIRS:
@@ -509,25 +499,14 @@ def fuzzy_join(left, right, left_col: str, right_col: str, n: int = 2,
                         a_out.append(q)
                         b_out.append(cand.term)
                         d_out.append(cand.distance)
-        return pd.DataFrame(
-            {"left_val": pd.Series(a_out, dtype="object"),
-             "right_val": pd.Series(b_out, dtype="object"),
-             "distance": pd.Series(d_out, dtype="int64")}
-        )
+        return pa.table([a_out, b_out, d_out], schema=schema)
 
     from ..stages.grouped import bucketed_apply
 
-    pairs = tagged.groupby("bucket").map_groups(score, batch_format="pandas")
-    return bucketed_apply(
-        pairs,
-        ["left_val", "right_val"],
-        lambda df: df.groupby(["left_val", "right_val"], as_index=False)["distance"].min(),
-        empty_result=pd.DataFrame(
-            {"left_val": pd.Series(dtype="object"),
-             "right_val": pd.Series(dtype="object"),
-             "distance": pd.Series(dtype="int64")}
-        ),
-    )
+    pairs = tagged.groupby("bucket").map_groups(score, batch_format="pyarrow")
+    return bucketed_apply(pairs, ["left_val", "right_val"],
+                          _min_distance("left_val", "right_val"),
+                          empty_result=schema.empty_table())
 
 
 def canonicalize_terms(ds, col: str, n: int = 1, algorithm: str = STANDARD):
@@ -579,9 +558,8 @@ def fuzzy_topk(ds, col: str, k: int = 3, n: int = 2, algorithm: str = STANDARD):
 
     Output: (query, match, distance, rank).  Partial top-k per length
     bucket, global merge per query (small: <= k rows per bucket)."""
-    import pandas as pd
-
     from ..stages.grouped import bucketed_apply
+    from ..stages.keys import key_codes, run_ranks
 
     def explode(t: pa.Table) -> pa.Table:
         vals = t.column(col).to_pylist()
@@ -595,10 +573,21 @@ def fuzzy_topk(ds, col: str, k: int = 3, n: int = 2, algorithm: str = STANDARD):
         return pa.table({"bucket": pa.array(out_b, type=pa.int32()),
                          "val": pa.array(out_v, type=pa.string())})
 
-    def score(g: pd.DataFrame) -> pd.DataFrame:
+    schema = pa.schema([("query", pa.string()), ("match", pa.string()),
+                        ("distance", pa.int64())])
+
+    def ranked(t: pa.Table) -> pa.Table:
+        """Rows of ``t`` ranked per query by (distance, match), rank <= k."""
+        t = t.sort_by([("query", "ascending"), ("distance", "ascending"),
+                       ("match", "ascending")])
+        rank = run_ranks(key_codes(t.column("query")))
+        return t.filter(pa.array(rank <= k)).append_column(
+            "rank", pa.array(rank[rank <= k], pa.int64()))
+
+    def score(g: pa.Table) -> pa.Table:
         from ..kernel.query import ordered_query
 
-        vals = sorted(set(g["val"]))
+        vals = sorted(set(g.column("val").to_pylist()))
         q_out, m_out, d_out = [], [], []
         if len(vals) > 1:
             vec = _vec_self_pairs(vals, n, algorithm)
@@ -606,11 +595,8 @@ def fuzzy_topk(ds, col: str, k: int = 3, n: int = 2, algorithm: str = STANDARD):
                 # symmetric distances: emit both directions, then the
                 # ordered-query rank rule (distance asc, term lexicographic)
                 a, b, d = vec
-                df = pd.DataFrame({"query": a + b, "match": b + a,
-                                   "distance": d + d})
-                df = df.sort_values(["query", "distance", "match"])
-                df = df.groupby("query", sort=False).head(k)
-                return df.astype({"distance": "int64"})
+                return ranked(pa.table([a + b, b + a, d + d], schema=schema)) \
+                    .drop_columns(["rank"])
             trie = build_trie(vals)
             for q in vals:
                 got = [c for c in ordered_query(trie, q, n, algorithm) if c.term != q]
@@ -618,24 +604,23 @@ def fuzzy_topk(ds, col: str, k: int = 3, n: int = 2, algorithm: str = STANDARD):
                     q_out.append(q)
                     m_out.append(cand.term)
                     d_out.append(cand.distance)
-        return pd.DataFrame({"query": pd.Series(q_out, dtype="object"),
-                             "match": pd.Series(m_out, dtype="object"),
-                             "distance": pd.Series(d_out, dtype="int64")})
+        return pa.table([q_out, m_out, d_out], schema=schema)
 
     partial = (
         _distinct(ds, col)
         .map_batches(explode, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(score, batch_format="pandas")
+        .map_groups(score, batch_format="pyarrow")
     )
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["query", "match"])
-        df = df.sort_values(["query", "distance", "match"])
-        df["rank"] = df.groupby("query").cumcount() + 1
-        return df[df["rank"] <= k]
+    def merge(t: pa.Table) -> pa.Table:
+        return ranked(t.group_by(["query", "match"], use_threads=False)
+                      .aggregate([("distance", "min")])
+                      .rename_columns(schema.names))
 
-    return bucketed_apply(partial, "query", merge)
+    return bucketed_apply(
+        partial, "query", merge,
+        empty_result=schema.append(pa.field("rank", pa.int64())).empty_table())
 
 
 def substring_search(ds, text_col: str, id_col: str, pattern: str, n: int = 1):
@@ -815,6 +800,7 @@ def _fuzzy_lookup_agg_distributed(queries, dictionary, query_col: str,
     import numpy as np
 
     from ..stages.grouped import bucketed_apply
+    from ..stages.keys import key_codes
 
     dict2 = dictionary.select_columns([term_col, value_col])
     if value_pred is not None:
@@ -854,16 +840,19 @@ def _fuzzy_lookup_agg_distributed(queries, dictionary, query_col: str,
             "side": pd.Series(["d"] * len(df), dtype="object"),
         })
 
-    _mid_schema = pd.DataFrame({
-        "query": pd.Series(dtype="object"),
-        "value": pd.Series(dtype="object"),
-        "distance": pd.Series(dtype="int64"),
-        "side": pd.Series(dtype="object"),
-    })
+    mid_schema = pa.schema([("query", pa.string()), ("value", pa.string()),
+                            ("distance", pa.int64()), ("side", pa.string())])
 
-    def attach_values(df: pd.DataFrame) -> pd.DataFrame:
+    def groups(t: pa.Table, col: str):
+        """``t``'s rows as pandas frames, one per ``col`` value; a null key
+        has no group, as in a pandas groupby."""
+        codes = key_codes(t.column(col))
+        return (g for c, g in t.to_pandas().groupby(codes, sort=False)
+                if c >= 0)
+
+    def attach_values(t: pa.Table) -> pa.Table:
         outs = []
-        for _term, g in df.groupby("term", sort=False):
+        for g in groups(t, "term"):
             p = g[g["side"] == "p"]
             if not len(p):
                 continue
@@ -884,13 +873,15 @@ def _fuzzy_lookup_agg_distributed(queries, dictionary, query_col: str,
                     "side": "v",
                 }))
         if not outs:
-            return _mid_schema
-        return pd.concat(outs, ignore_index=True)
+            return mid_schema.empty_table()
+        return pa.Table.from_pandas(
+            pd.concat(outs, ignore_index=True), schema=mid_schema,
+            preserve_index=False).replace_schema_metadata(None)
 
     mid = bucketed_apply(
         pairs.map_batches(tag_pairs, batch_format="pandas")
         .union(dict2.map_batches(tag_dict, batch_format="pandas")),
-        "term", attach_values, empty_result=_mid_schema,
+        "term", attach_values, empty_result=mid_schema.empty_table(),
     )
 
     # --- query-keyed exchange: final aggregate + zero-match sentinels ----
@@ -906,29 +897,22 @@ def _fuzzy_lookup_agg_distributed(queries, dictionary, query_col: str,
             "side": pa_.array(["s"] * nrows, type=pa_.string()),
         })
 
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
+    out_schema = pa.schema([("query", pa.string()), ("values", pa.string()),
+                            ("n_matches", pa.int64()),
+                            ("min_distance", pa.int64())])
+
+    def agg(t: pa.Table) -> pa.Table:
         out_q, out_v, out_c, out_d = [], [], [], []
-        for q, g in df.groupby("query", sort=False):
+        for g in groups(t, "query"):
             stats = g[g["side"] == "q"]
-            out_q.append(q)
+            out_q.append(g["query"].iloc[0])
             out_v.append(",".join(sorted(set(g.loc[g["side"] == "v", "value"]))))
             out_c.append(len(stats))
             out_d.append(int(stats["distance"].min()) if len(stats) else -1)
-        return pd.DataFrame({
-            "query": pd.Series(out_q, dtype="object"),
-            "values": pd.Series(out_v, dtype="object"),
-            "n_matches": pd.Series(out_c, dtype="int64"),
-            "min_distance": pd.Series(out_d, dtype="int64"),
-        })
+        return pa.table([out_q, out_v, out_c, out_d], schema=out_schema)
 
     return bucketed_apply(
         mid.union(_distinct(queries, query_col).map_batches(
             sentinels, batch_format="pyarrow")),
-        "query", agg,
-        empty_result=pd.DataFrame({
-            "query": pd.Series(dtype="object"),
-            "values": pd.Series(dtype="object"),
-            "n_matches": pd.Series(dtype="int64"),
-            "min_distance": pd.Series(dtype="int64"),
-        }),
+        "query", agg, empty_result=out_schema.empty_table(),
     )

@@ -15,6 +15,7 @@ distance)."""
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.simhash import hash64
 from ..functions.typogen import TypoGenerator
@@ -77,19 +78,16 @@ def spelling_recall(vocab_ds, col: str, n: int = 2, per_word: int = 2,
         m.map_batches(prep_match, batch_format="pandas")
     )
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        t = df[df["__side"] == "t"][["misspelling", "original"]].drop_duplicates()
-        mm = df[df["__side"] == "m"][["misspelling", "matched"]]
-        hit = t.merge(
-            mm, left_on=["misspelling", "original"],
-            right_on=["misspelling", "matched"], how="left", indicator=True,
-        )
-        return pd.DataFrame(
-            {
-                "n_misspellings": [len(t)],
-                "n_recovered": [int((hit["_merge"] == "both").sum())],
-            }
-        )
+    def per_bucket(t: pa.Table) -> pa.Table:
+        side = t.column("__side")
+        truth = t.filter(pc.equal(side, "t")).group_by(
+            ["misspelling", "original"]).aggregate([])
+        found = t.filter(pc.equal(side, "m")).group_by(
+            ["misspelling", "matched"]).aggregate([])
+        hit = truth.join(found, ["misspelling", "original"],
+                         ["misspelling", "matched"], join_type="inner")
+        return pa.table({"n_misspellings": [truth.num_rows],
+                         "n_recovered": [hit.num_rows]})
 
     parts = bucketed_apply(both, "misspelling", per_bucket)
 
@@ -123,6 +121,7 @@ def spell_correct(tokens_ds, tok_col: str, dict_ds, word_col: str,
     import ray
 
     from ..stages.grouped import bucketed_apply
+    from ..stages.keys import key_codes, run_ranks
 
     # the dictionary feeds BOTH the join and the broadcast freq map — pin
     # the (small) relation once instead of re-executing its plan twice
@@ -139,39 +138,38 @@ def spell_correct(tokens_ds, tok_col: str, dict_ds, word_col: str,
                         b.column(freq_col).to_pylist()))
     fref = ray.put(fmap)
 
-    def attach(df: pd.DataFrame) -> pd.DataFrame:
+    def attach(t: pa.Table) -> pa.Table:
         f = ray.get(fref)  # zero-copy handle from the local store
-        df = df.rename(columns={"left_val": "tok", "right_val": "correction"})
-        freq = df["correction"].map(f)
-        if freq.isna().any():
+        freq = [f.get(w) for w in t.column("right_val").to_pylist()]
+        if None in freq:
             # a correction absent from dict_ds means right_sigs is a stale
             # or mismatched persisted index — name the cause instead of
-            # letting the astype below die with an opaque cast error
-            missing = df.loc[freq.isna(), "correction"].unique()[:5].tolist()
+            # letting the cast below die with an opaque error
+            missing = sorted({w for w, q in zip(
+                t.column("right_val").to_pylist(), freq) if q is None})[:5]
             raise ValueError(
                 "spell_correct: corrections not present in dict_ds "
                 f"(stale/mismatched right_sigs index?): {missing}"
             )
-        df["freq"] = freq.astype("int64")
-        return df
+        return pa.table([t.column("left_val"), t.column("right_val"),
+                         t.column("distance"), pa.array(freq, pa.int64())],
+                        schema=_CORRECTIONS)
 
-    def best(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["tok", "distance", "freq", "correction"],
-                            ascending=[True, True, False, True],
-                            kind="mergesort")
-        return df.drop_duplicates("tok", keep="first")
+    def best(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("tok", "ascending"), ("distance", "ascending"),
+                       ("freq", "descending"), ("correction", "ascending")])
+        return t.filter(pa.array(run_ranks(key_codes(t.column("tok"))) == 1))
 
     return bucketed_apply(
-        pairs.map_batches(attach, batch_format="pandas"),
+        pairs.map_batches(attach, batch_format="pyarrow"),
         "tok",
         best,
-        empty_result=pd.DataFrame(
-            {"tok": pd.Series(dtype="object"),
-             "correction": pd.Series(dtype="object"),
-             "distance": pd.Series(dtype="int64"),
-             "freq": pd.Series(dtype="int64")}
-        ),
+        empty_result=_CORRECTIONS.empty_table(),
     )
+
+
+_CORRECTIONS = pa.schema([("tok", pa.string()), ("correction", pa.string()),
+                          ("distance", pa.int64()), ("freq", pa.int64())])
 
 
 # ----------------------------------------------------------------------
@@ -276,10 +274,10 @@ def corpus_validation(words: list[str] | None = None, n: int = 2,
         batch_format="pyarrow",
     )
 
-    def agg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("distance", as_index=False).agg(
-            n_cases=("found", "size"), n_found=("found", "sum"))
-        return g
+    def agg(t: pa.Table) -> pa.Table:
+        return t.group_by("distance").aggregate(
+            [([], "count_all"), ("found", "sum")]
+        ).rename_columns(["distance", "n_cases", "n_found"])
 
     parts = bucketed_apply(scored, "distance", agg, n_buckets=4)
 

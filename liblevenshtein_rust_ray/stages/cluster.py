@@ -237,7 +237,7 @@ def _star_cc(pairs, n_buckets: int, max_passes: int, stats: dict | None = None):
     endpoint bucket), and ``contract_passes``, their number."""
     import ray.data as rd
 
-    from .grouped import bucketed_apply_arrow
+    from .grouped import bucketed_apply
 
     cur = pairs.map_batches(
         _contract_table, batch_format="pyarrow", batch_size=None
@@ -250,7 +250,7 @@ def _star_cc(pairs, n_buckets: int, max_passes: int, stats: dict | None = None):
             raise RuntimeError(
                 f"connected components: star contraction did not reach its "
                 f"fixpoint in {max_passes} passes; edge counts {counts}")
-        cur = bucketed_apply_arrow(
+        cur = bucketed_apply(
             cur.map_batches(_both_ways, batch_format="pyarrow"), "url_a",
             _star_bucket, n_buckets, empty_result=_EMPTY_STARS,
         ).materialize()
@@ -260,7 +260,7 @@ def _star_cc(pairs, n_buckets: int, max_passes: int, stats: dict | None = None):
         if counts[-1] > DRIVER_MAX_EDGES and not _any_changed(cur):
             if stats is not None:
                 stats["path"] = "contract+stars"
-            return bucketed_apply_arrow(
+            return bucketed_apply(
                 cur.map_batches(_star_labels, batch_format="pyarrow"), "url",
                 _distinct, n_buckets, empty_result=_EMPTY_LABELS)
     out = _driver_cc(cur)

@@ -29,6 +29,8 @@ from ..functions.minhash import (  # noqa: F401
 )
 from ..functions.simhash import simhash64, simhash_bands, hamming64, hash64  # noqa: F401
 from ..functions.tokenize import char_ngrams
+from .grouped import bucketed_apply
+from .keys import key_codes, run_ranks
 from .similarity import _list_col_matrix
 
 # byte-wise popcount lookup table for vectorized 64-bit Hamming distance
@@ -37,6 +39,38 @@ _POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 # per-process cache of seeded LSH hyperplane tables (built once per worker,
 # not per batch): (dim, n_planes, n_tables) -> list of (dim, n_planes) arrays
 _LSH_PLANES_CACHE: dict = {}
+
+
+def _pairs_schema(score: str, dtype=pa.float64()) -> pa.Schema:
+    return pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                      (score, dtype)])
+
+
+def _best_pair(score: str, how: str):
+    """Bucket function: one row per (id_a, id_b), at its ``how`` score."""
+    return lambda t: t.group_by(["id_a", "id_b"], use_threads=False) \
+        .aggregate([(score, how)]).rename_columns(["id_a", "id_b", score])
+
+
+def _arrow(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    """A bucket's pandas result as a metadata-free ``pa.Table``."""
+    return pa.Table.from_pandas(df, schema=schema, preserve_index=False) \
+        .replace_schema_metadata(None)
+
+
+def _with_codes(t: pa.Table, col: str) -> pd.DataFrame:
+    """``t`` as pandas with ``col`` replaced by its dictionary codes, so
+    pandas groups and merges it on integers (NUL-safe)."""
+    df = t.to_pandas()
+    df[col] = key_codes(t.column(col))
+    return df
+
+
+def _salt(b: pd.DataFrame, view: int, salt, n_keys: int) -> np.ndarray:
+    """Salted bucket codes of ``b``'s rows, all >= ``n_keys`` (the unsalted
+    codes), one per (bucket, view, salt byte)."""
+    return n_keys + (b["bucket"].to_numpy() * 2 + view) * 256 + \
+        np.asarray(salt, dtype=np.int64)
 
 
 def _lsh_planes(dim: int, n_planes: int, n_tables: int, seed: int = 1234):
@@ -214,10 +248,9 @@ def exact_dedup(ds, text_col: str, id_col: str):
         )
         return t.append_column("__content_hash", hs)
 
-    from .grouped import bucketed_apply
-
-    def keep_min_id(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(id_col).drop_duplicates(text_col, keep="first")
+    def keep_min_id(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(text_col, "ascending"), (id_col, "ascending")])
+        return t.filter(pa.array(run_ranks(key_codes(t.column(text_col))) == 1))
 
     return bucketed_apply(
         ds.map_batches(add_hash, batch_format="pyarrow"), "__content_hash", keep_min_id
@@ -320,12 +353,9 @@ def minhash_lsh_pairs(
             max_bucket, hasher,
         )
 
-    _empty = pd.DataFrame(
-        {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64"),
-         "jaccard": pd.Series(dtype="float64")}
-    )
+    schema = _pairs_schema("jaccard")
 
-    def pairs_in_hashbucket(df: pd.DataFrame) -> pd.DataFrame:
+    def pairs_in_hashbucket(t: pa.Table) -> pa.Table:
         # whole hash-bucket of band-buckets at once: pandas C merge forms
         # the candidate pairs, one numpy pass scores every pair's signature
         # agreement (vs per-band-bucket Python dispatch — most band buckets
@@ -340,7 +370,7 @@ def minhash_lsh_pairs(
         #    agree on most permutation values, so they co-land in at least
         #    one view w.h.p.  Cross-signature edges connect representatives
         #    (min id per signature), transitively equivalent for clustering.
-        df = df.drop_duplicates(["bucket", "id"])
+        df = _with_codes(t, "bucket").drop_duplicates(["bucket", "id"])
         rep = df.groupby(["bucket", "sig"], sort=False)["id"].transform("min")
         member = df["id"].to_numpy()
         star = member != rep.to_numpy()
@@ -357,10 +387,8 @@ def minhash_lsh_pairs(
             salted = []
             for view, byte_ix in enumerate((3, 28)):
                 b = big.copy()
-                b["bucket"] = [
-                    f"{k}#v{view}|{s[byte_ix % len(s)]:02x}"
-                    for k, s in zip(b["bucket"], b["sig"])
-                ]
+                b["bucket"] = _salt(b, view, [s[byte_ix % len(s)]
+                                              for s in b["sig"]], len(df))
                 salted.append(b)
             dd = pd.concat([small, *salted], ignore_index=True)
         else:
@@ -369,7 +397,7 @@ def minhash_lsh_pairs(
         m = dd.merge(dd, on="bucket", suffixes=("_a", "_b"))
         m = m[m["id_a"] < m["id_b"]].drop_duplicates(["id_a", "id_b"])
         if not len(m):
-            return stars if len(stars) else _empty
+            return _arrow(stars, schema)
         A = np.frombuffer(b"".join(m["sig_a"]), dtype=np.uint64).reshape(len(m), -1)
         B = np.frombuffer(b"".join(m["sig_b"]), dtype=np.uint64).reshape(len(m), -1)
         est = (A == B).mean(axis=1)
@@ -378,25 +406,59 @@ def minhash_lsh_pairs(
             {"id_a": m["id_a"].to_numpy()[keep], "id_b": m["id_b"].to_numpy()[keep],
              "jaccard": est[keep]}
         )
-        return pd.concat([stars, out], ignore_index=True) if len(stars) else out
-
-    from .grouped import bucketed_apply
+        return _arrow(pd.concat([stars, out], ignore_index=True), schema)
 
     cand = bucketed_apply(
         ds.map_batches(sign, batch_format="pyarrow"),
         "bucket",
         pairs_in_hashbucket,
-        empty_result=_empty,
+        empty_result=schema.empty_table(),
     )
-    return bucketed_apply(
-        cand,
-        ["id_a", "id_b"],
-        lambda df: df.groupby(["id_a", "id_b"], as_index=False)["jaccard"].max(),
-        empty_result=_empty,
-    )
+    return bucketed_apply(cand, ["id_a", "id_b"], _best_pair("jaccard", "max"),
+                          empty_result=schema.empty_table())
 
 
 # ----------------------------------------------------------------------
+_THIN_PAIRS = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
+
+
+def _thin_candidates(t: pa.Table, max_bucket: int) -> pa.Table:
+    """Candidate pairs of one bucket of thin ``(id, bucket, h, s0, s1)``
+    rows — the join-transport twin of the banded in-bucket logic, with the
+    payload replaced by its hash ``h`` and two salt bytes: identical hashes
+    collapse to stars, oversized buckets are salted by the salt bytes.
+    Pairs leave UNVERIFIED (the estimate needs the full payload, attached
+    downstream once per distinct pair)."""
+    df = _with_codes(t, "bucket").drop_duplicates(["bucket", "id"])
+    rep = df.groupby(["bucket", "h"], sort=False)["id"].transform("min")
+    member = df["id"].to_numpy()
+    star = member != rep.to_numpy()
+    stars = pd.DataFrame(
+        {"id_a": rep.to_numpy()[star], "id_b": member[star]}
+    ).drop_duplicates(["id_a", "id_b"])
+
+    dd = df.groupby(["bucket", "h"], as_index=False, sort=False).agg(
+        id=("id", "min"), s0=("s0", "first"), s1=("s1", "first")
+    )
+    sizes = dd.groupby("bucket", sort=False)["h"].transform("size")
+    small = dd[sizes <= max_bucket]
+    big = dd[sizes > max_bucket]
+    if len(big):
+        salted = []
+        for view, col in enumerate(("s0", "s1")):
+            b = big.copy()
+            b["bucket"] = _salt(b, view, b[col], len(df))
+            salted.append(b)
+        dd = pd.concat([small, *salted], ignore_index=True)
+    else:
+        dd = small
+
+    m = dd.merge(dd[["bucket", "id"]], on="bucket", suffixes=("_a", "_b"))
+    m = m[m["id_a"] < m["id_b"]].drop_duplicates(["id_a", "id_b"])
+    return _arrow(pd.concat([stars, m[["id_a", "id_b"]]], ignore_index=True),
+                  _THIN_PAIRS)
+
+
 def _minhash_pairs_sig_join(ds, text_col, id_col, threshold, num_perm,
                             n_bands, shingle_k, max_bucket, hasher):
     """``sig_transport="join"`` body of :func:`minhash_lsh_pairs` — output
@@ -415,8 +477,6 @@ def _minhash_pairs_sig_join(ds, text_col, id_col, threshold, num_perm,
     Stars re-verify trivially (identical signatures estimate exactly 1.0),
     so every pair flows through one code path.
     """
-
-    from .grouped import bucketed_apply, bucketed_apply_arrow
 
     def sign_docs(t: pa.Table) -> pa.Table:
         """One row per doc: id, sig bytes, 64-bit sig hash, two salt bytes
@@ -467,52 +527,11 @@ def _minhash_pairs_sig_join(ds, text_col, id_col, threshold, num_perm,
             }
         )
 
-    _empty_cand = pd.DataFrame(
-        {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64")}
-    )
-
-    def pairs_in_hashbucket(df: pd.DataFrame) -> pd.DataFrame:
-        # mirrors the banded in-bucket logic with sig -> (h, s0, s1):
-        # identical hashes collapse to stars, oversized buckets are salted
-        # by the same two signature bytes.  Pairs leave UNVERIFIED (the
-        # estimate needs full signatures, attached downstream once per
-        # distinct pair).
-        df = df.drop_duplicates(["bucket", "id"])
-        rep = df.groupby(["bucket", "h"], sort=False)["id"].transform("min")
-        member = df["id"].to_numpy()
-        star = member != rep.to_numpy()
-        stars = pd.DataFrame(
-            {"id_a": rep.to_numpy()[star], "id_b": member[star]}
-        ).drop_duplicates(["id_a", "id_b"])
-
-        dd = df.groupby(["bucket", "h"], as_index=False, sort=False).agg(
-            id=("id", "min"), s0=("s0", "first"), s1=("s1", "first")
-        )
-        sizes = dd.groupby("bucket", sort=False)["h"].transform("size")
-        small = dd[sizes <= max_bucket]
-        big = dd[sizes > max_bucket]
-        if len(big):
-            salted = []
-            for view, col in enumerate(("s0", "s1")):
-                b = big.copy()
-                b["bucket"] = [
-                    f"{k}#v{view}|{s:02x}" for k, s in zip(b["bucket"], b[col])
-                ]
-                salted.append(b)
-            dd = pd.concat([small, *salted], ignore_index=True)
-        else:
-            dd = small
-
-        m = dd.merge(dd[["bucket", "id"]], on="bucket", suffixes=("_a", "_b"))
-        m = m[m["id_a"] < m["id_b"]].drop_duplicates(["id_a", "id_b"])
-        out = m[["id_a", "id_b"]]
-        return pd.concat([stars, out], ignore_index=True) if len(stars) else out
-
     cand = bucketed_apply(
         sigs.map_batches(explode_bands, batch_format="pyarrow"),
         "bucket",
-        pairs_in_hashbucket,
-        empty_result=_empty_cand,
+        lambda t: _thin_candidates(t, max_bucket),
+        empty_result=_THIN_PAIRS.empty_table(),
     )
 
     # ---- attach sig_a (id_a-keyed; global pair dedup happens here) -----
@@ -555,7 +574,7 @@ def _minhash_pairs_sig_join(ds, text_col, id_col, threshold, num_perm,
             }
         )
 
-    with_a = bucketed_apply_arrow(
+    with_a = bucketed_apply(
         cand.map_batches(pairs_for_a, batch_format="pyarrow").union(
             sigs.map_batches(sigs_for_attach, batch_format="pyarrow")
         ),
@@ -611,7 +630,7 @@ def _minhash_pairs_sig_join(ds, text_col, id_col, threshold, num_perm,
             }
         )
 
-    return bucketed_apply_arrow(
+    return bucketed_apply(
         with_a.map_batches(pairs_for_b, batch_format="pyarrow").union(
             sigs.map_batches(sigs_for_b, batch_format="pyarrow")
         ),
@@ -664,12 +683,9 @@ def simhash_pairs(ds, text_col: str, id_col: str, max_hamming: int = 3,
             }
         )
 
-    _empty = pd.DataFrame(
-        {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64"),
-         "hamming": pd.Series(dtype="int64")}
-    )
+    schema = _pairs_schema("hamming", pa.int64())
 
-    def verify_hashbucket(df: pd.DataFrame) -> pd.DataFrame:
+    def verify_hashbucket(t: pa.Table) -> pa.Table:
         # pairs across the whole hash-bucket via C merge; vectorized XOR +
         # byte-LUT popcount for the Hamming verify.
         #
@@ -678,7 +694,7 @@ def simhash_pairs(ds, text_col: str, id_col: str, max_hamming: int = 3,
         # ``max_bucket`` distinct simhashes are salted by two rotated 8-bit
         # views of the full hash (near pairs agree on most bits, so they
         # co-land in at least one view w.h.p.).
-        df = df.drop_duplicates(["bucket", "id"])
+        df = _with_codes(t, "bucket").drop_duplicates(["bucket", "id"])
         rep = df.groupby(["bucket", "simhash"], sort=False)["id"].transform("min")
         member = df["id"].to_numpy()
         star = member != rep.to_numpy()
@@ -695,10 +711,9 @@ def simhash_pairs(ds, text_col: str, id_col: str, max_hamming: int = 3,
             salted = []
             for view, shift in enumerate((24, 52)):
                 b = big.copy()
-                b["bucket"] = [
-                    f"{k}#v{view}|{(int(s) >> shift) & 0xFF:02x}"
-                    for k, s in zip(b["bucket"], b["simhash"])
-                ]
+                sh = b["simhash"].to_numpy().astype(np.uint64)
+                b["bucket"] = _salt(b, view, (sh >> np.uint64(shift))
+                                    & np.uint64(0xFF), len(df))
                 salted.append(b)
             dd = pd.concat([small, *salted], ignore_index=True)
         else:
@@ -707,7 +722,7 @@ def simhash_pairs(ds, text_col: str, id_col: str, max_hamming: int = 3,
         m = dd.merge(dd, on="bucket", suffixes=("_a", "_b"))
         m = m[m["id_a"] < m["id_b"]].drop_duplicates(["id_a", "id_b"])
         if not len(m):
-            return stars if len(stars) else _empty
+            return _arrow(stars, schema)
         x = m["simhash_a"].to_numpy().astype(np.uint64) ^ m["simhash_b"].to_numpy().astype(np.uint64)
         h = _POPCNT8[x.view(np.uint8).reshape(len(m), 8)].sum(axis=1).astype(np.int64)
         keep = h <= max_hamming
@@ -715,22 +730,16 @@ def simhash_pairs(ds, text_col: str, id_col: str, max_hamming: int = 3,
             {"id_a": m["id_a"].to_numpy()[keep], "id_b": m["id_b"].to_numpy()[keep],
              "hamming": h[keep]}
         )
-        return pd.concat([stars, out], ignore_index=True) if len(stars) else out
-
-    from .grouped import bucketed_apply
+        return _arrow(pd.concat([stars, out], ignore_index=True), schema)
 
     cand = bucketed_apply(
         ds.map_batches(sign, batch_format="pyarrow"),
         "bucket",
         verify_hashbucket,
-        empty_result=_empty,
+        empty_result=schema.empty_table(),
     )
-    return bucketed_apply(
-        cand,
-        ["id_a", "id_b"],
-        lambda df: df.groupby(["id_a", "id_b"], as_index=False)["hamming"].min(),
-        empty_result=_empty,
-    )
+    return bucketed_apply(cand, ["id_a", "id_b"], _best_pair("hamming", "min"),
+                          empty_result=schema.empty_table())
 
 
 # ----------------------------------------------------------------------
@@ -821,9 +830,9 @@ def ngram_jaccard_pairs(ds, text_col: str, id_col: str, threshold: float = 0.5,
             "shingles": lists,
         })
 
-    def collapse_and_explode(bucket: pd.DataFrame) -> pd.DataFrame:
+    def collapse_and_explode(t: pa.Table) -> pa.Table:
         out_s, out_i, out_n, out_m = [], [], [], []
-        for _h, g in bucket.groupby("__set_hash", sort=False):
+        for _h, g in t.to_pandas().groupby("__set_hash", sort=False):
             members = tuple(sorted(g["id"].tolist()))
             sh = g["shingles"].iloc[0]
             for s in sh:
@@ -831,23 +840,22 @@ def ngram_jaccard_pairs(ds, text_col: str, id_col: str, threshold: float = 0.5,
                 out_i.append(members[0])
                 out_n.append(len(sh))
                 out_m.append(members)
-        return pd.DataFrame(
-            {"shingle": out_s, "id": out_i, "set_size": out_n, "members": out_m}
-        )
+        return pa.table([out_s, out_i, out_n, out_m], schema=_REPS)
 
-    def pairs_in_group(bucket: pd.DataFrame) -> pd.DataFrame:
+    def pairs_in_group(t: pa.Table) -> pa.Table:
+        bucket = _with_codes(t, "shingle")
         if max_df is not None:
             df_count = bucket.groupby("shingle", sort=False)["id"].transform("size")
             bucket = bucket[df_count <= max_df]
         m = bucket.merge(bucket, on="shingle", suffixes=("_a", "_b"))
         multi = m["members_a"].map(len) > 1
         m = m[(m["id_a"] < m["id_b"]) | ((m["id_a"] == m["id_b"]) & multi)]
-        return m[["id_a", "id_b", "set_size_a", "set_size_b", "members_a", "members_b"]]
+        return _arrow(m, _CANDS)
 
-    def combine(bucket: pd.DataFrame) -> pd.DataFrame:
+    def combine(t: pa.Table) -> pa.Table:
         import itertools
 
-        g = bucket.groupby(["id_a", "id_b"], as_index=False).agg(
+        g = t.to_pandas().groupby(["id_a", "id_b"], as_index=False).agg(
             c=("set_size_a", "size"),
             set_size_a=("set_size_a", "first"),
             set_size_b=("set_size_b", "first"),
@@ -874,26 +882,23 @@ def ngram_jaccard_pairs(ds, text_col: str, id_col: str, threshold: float = 0.5,
                         out_a.append(min(x, y))
                         out_b.append(max(x, y))
                         out_j.append(jj)
-        return pd.DataFrame(
-            {"id_a": pd.Series(out_a, dtype="int64"),
-             "id_b": pd.Series(out_b, dtype="int64"),
-             "jaccard": pd.Series(out_j, dtype="float64")}
-        )
-
-    from .grouped import bucketed_apply
+        return pa.table([out_a, out_b, out_j], schema=_pairs_schema("jaccard"))
 
     ex = ds.map_batches(sets_batch, batch_format="pyarrow")
-    reps = bucketed_apply(ex, "__set_hash", collapse_and_explode)
-    cand = bucketed_apply(reps, "shingle", pairs_in_group)
-    return bucketed_apply(
-        cand,
-        ["id_a", "id_b"],
-        combine,
-        empty_result=pd.DataFrame(
-            {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64"),
-             "jaccard": pd.Series(dtype="float64")}
-        ),
-    )
+    reps = bucketed_apply(ex, "__set_hash", collapse_and_explode,
+                          empty_result=_REPS.empty_table())
+    cand = bucketed_apply(reps, "shingle", pairs_in_group,
+                          empty_result=_CANDS.empty_table())
+    return bucketed_apply(cand, ["id_a", "id_b"], combine,
+                          empty_result=_pairs_schema("jaccard").empty_table())
+
+
+_REPS = pa.schema([("shingle", pa.string()), ("id", pa.int64()),
+                   ("set_size", pa.int64()), ("members", pa.list_(pa.int64()))])
+_CANDS = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                    ("set_size_a", pa.int64()), ("set_size_b", pa.int64()),
+                    ("members_a", pa.list_(pa.int64())),
+                    ("members_b", pa.list_(pa.int64()))])
 
 
 # ----------------------------------------------------------------------
@@ -1104,16 +1109,10 @@ def embedding_neardup_pairs(
             return _empty_pairs
         return pd.concat(out, ignore_index=True).drop_duplicates(["id_a", "id_b"])
 
-    from .grouped import bucketed_apply
-
     cand = ds.map_batches(bucketize, batch_format="pyarrow")
     pairs = cand.groupby("bucket").map_groups(verify, batch_format="pandas")
-    return bucketed_apply(
-        pairs,
-        ["id_a", "id_b"],
-        lambda df: df.groupby(["id_a", "id_b"], as_index=False)["cosine"].max(),
-        empty_result=_empty_pairs,
-    )
+    return bucketed_apply(pairs, ["id_a", "id_b"], _best_pair("cosine", "max"),
+                          empty_result=_pairs_schema("cosine").empty_table())
 
 
 def _embedding_pairs_vec_join(ds, vec_col, id_col, threshold, n_planes,
@@ -1126,7 +1125,6 @@ def _embedding_pairs_vec_join(ds, vec_col, id_col, threshold, n_planes,
     vectors are attached once per DISTINCT candidate pair via two id-keyed
     exchanges from a materialized thin vector table, mirroring
     :func:`_minhash_pairs_sig_join`."""
-    from .grouped import bucketed_apply, bucketed_apply_arrow
 
     sign_schema = pa.schema(
         [
@@ -1194,51 +1192,11 @@ def _embedding_pairs_vec_join(ds, vec_col, id_col, threshold, n_planes,
             }
         )
 
-    _empty_cand = pd.DataFrame(
-        {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64")}
-    )
-
-    def pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # mirrors the banded verify's candidate logic with vec -> (h, s0, s1):
-        # identical hashes collapse to stars, oversized buckets re-salted.
-        # Pairs leave UNVERIFIED (cosine needs the vectors, attached
-        # downstream once per distinct pair).
-        df = df.drop_duplicates(["bucket", "id"])
-        rep = df.groupby(["bucket", "h"], sort=False)["id"].transform("min")
-        member = df["id"].to_numpy()
-        star = member != rep.to_numpy()
-        stars = pd.DataFrame(
-            {"id_a": rep.to_numpy()[star], "id_b": member[star]}
-        ).drop_duplicates(["id_a", "id_b"])
-
-        dd = df.groupby(["bucket", "h"], as_index=False, sort=False).agg(
-            id=("id", "min"), s0=("s0", "first"), s1=("s1", "first")
-        )
-        sizes = dd.groupby("bucket", sort=False)["h"].transform("size")
-        small = dd[sizes <= max_bucket]
-        big = dd[sizes > max_bucket]
-        if len(big):
-            salted = []
-            for view, col in enumerate(("s0", "s1")):
-                b = big.copy()
-                b["bucket"] = [
-                    f"{k}#v{view}|{s:02x}" for k, s in zip(b["bucket"], b[col])
-                ]
-                salted.append(b)
-            dd = pd.concat([small, *salted], ignore_index=True)
-        else:
-            dd = small
-
-        m = dd.merge(dd[["bucket", "id"]], on="bucket", suffixes=("_a", "_b"))
-        m = m[m["id_a"] < m["id_b"]].drop_duplicates(["id_a", "id_b"])
-        out = m[["id_a", "id_b"]]
-        return pd.concat([stars, out], ignore_index=True) if len(stars) else out
-
     cand = bucketed_apply(
         vecs.map_batches(explode_tables, batch_format="pyarrow"),
         "bucket",
-        pairs_in_bucket,
-        empty_result=_empty_cand,
+        lambda t: _thin_candidates(t, max_bucket),
+        empty_result=_THIN_PAIRS.empty_table(),
     )
 
     # ---- attach vb_a (id_a-keyed; global pair dedup happens here) ------
@@ -1281,7 +1239,7 @@ def _embedding_pairs_vec_join(ds, vec_col, id_col, threshold, n_planes,
             }
         )
 
-    with_a = bucketed_apply_arrow(
+    with_a = bucketed_apply(
         cand.map_batches(pairs_for_a, batch_format="pyarrow").union(
             vecs.map_batches(vecs_for_attach, batch_format="pyarrow")
         ),
@@ -1337,7 +1295,7 @@ def _embedding_pairs_vec_join(ds, vec_col, id_col, threshold, n_planes,
             }
         )
 
-    return bucketed_apply_arrow(
+    return bucketed_apply(
         with_a.map_batches(pairs_for_b, batch_format="pyarrow").union(
             vecs.map_batches(vecs_for_b, batch_format="pyarrow")
         ),

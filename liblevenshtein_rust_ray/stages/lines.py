@@ -126,18 +126,19 @@ def line_dedup(ds, text_col: str, id_col: str, min_df: int = 2,
     # ---- scale fallback: common set too large to broadcast ----
     # Explode to (id, pos, line, line_hash, n_total); mark common lines
     # with one line_hash-keyed bucketed exchange; reassemble docs with one
-    # id-keyed bucketed exchange.  Same result as the broadcast path.
+    # id-keyed bucketed exchange.  Same result as the broadcast path (a
+    # null id's lines are dropped there).
     from .grouped import bucketed_apply
+    from .keys import arrow_type
 
     def explode(t: pa.Table) -> pa.Table:
         lines, per_doc = _split_lines(t, text_col)
         h = _hash_lines(lines)
         doc_idx = np.repeat(np.arange(len(per_doc)), per_doc)
-        ids = t.column(id_col).to_pandas().to_numpy()
         pos = np.concatenate([np.arange(n) for n in per_doc]) \
             if len(per_doc) else np.empty(0, dtype=np.int64)
         return pa.table({
-            id_col: pa.array(ids[doc_idx]),
+            id_col: t.column(id_col).take(pa.array(doc_idx)),
             "pos": pa.array(pos.astype(np.int64)),
             "line": lines.cast(pa.string()),
             "line_hash": pa.array(h, type=pa.int64()),
@@ -146,37 +147,31 @@ def line_dedup(ds, text_col: str, id_col: str, min_df: int = 2,
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
 
-    def mark(df: pd.DataFrame) -> pd.DataFrame:
-        df_count = df.groupby("line_hash", sort=False)["line_hash"] \
-                     .transform("size")
-        return df[df_count < min_df]
+    def mark(t: pa.Table) -> pa.Table:
+        _, inv, cnt = np.unique(t.column("line_hash").to_numpy(),
+                                return_inverse=True, return_counts=True)
+        return t.filter(pa.array(cnt[inv] < min_df))
 
+    id_field = pa.field(id_col, arrow_type(ds, id_col))
     kept_lines = bucketed_apply(
         exploded, "line_hash", mark,
-        empty_result=pd.DataFrame({
-            id_col: pd.Series(dtype="object"),
-            "pos": pd.Series(dtype="int64"),
-            "line": pd.Series(dtype="object"),
-            "line_hash": pd.Series(dtype="int64"),
-            "n_total": pd.Series(dtype="int64"),
-        }))
+        empty_result=pa.schema([
+            id_field, ("pos", pa.int64()), ("line", pa.string()),
+            ("line_hash", pa.int64()), ("n_total", pa.int64())]).empty_table())
+    out_schema = pa.schema([
+        id_field, ("text", pa.string()),
+        ("n_lines_kept", pa.int64()), ("n_lines_dropped", pa.int64())])
 
-    def reassemble(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([id_col, "pos"])
-        g = df.groupby(id_col, sort=False)
-        out = g.agg(text=("line", "\n".join),
-                    n_lines_kept=("line", "size"),
-                    n_total=("n_total", "first")).reset_index()
-        out["n_lines_dropped"] = (out["n_total"] - out["n_lines_kept"]) \
-            .astype("int64")
-        out["n_lines_kept"] = out["n_lines_kept"].astype("int64")
-        return out[[id_col, "text", "n_lines_kept", "n_lines_dropped"]]
+    def reassemble(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t.column(id_col))).sort_by(
+            [(id_col, "ascending"), ("pos", "ascending")])
+        g = t.group_by(id_col, use_threads=False).aggregate(
+            [("line", "list"), ("n_total", "first")])
+        n_kept = pc.list_value_length(g.column("line_list")).cast(pa.int64())
+        return pa.table([
+            g.column(id_col), pc.binary_join(g.column("line_list"), "\n"),
+            n_kept, pc.subtract(g.column("n_total_first"), n_kept),
+        ], schema=out_schema)
 
-    return bucketed_apply(
-        kept_lines, id_col, reassemble,
-        empty_result=pd.DataFrame({
-            id_col: pd.Series(dtype="object"),
-            "text": pd.Series(dtype="object"),
-            "n_lines_kept": pd.Series(dtype="int64"),
-            "n_lines_dropped": pd.Series(dtype="int64"),
-        }))
+    return bucketed_apply(kept_lines, id_col, reassemble,
+                          empty_result=out_schema.empty_table())

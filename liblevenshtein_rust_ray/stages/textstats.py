@@ -471,7 +471,7 @@ def tfidf_top_terms(ds, text_col: str = "text", id_col: str = "doc_id",
     ``mode="exchange"`` (the oracle path — two exchanges, both
     on thin rows):
     1. stateless map: exact (doc, token, tf) rows per batch — Arrow
-       lower+split (the token_stats kernel) + one C-path pandas groupby;
+       lower+split (the token_stats kernel) + one Arrow ``group_by``;
        a doc's text lives in one row, so per-batch tf is already final.
     2. token-keyed bucketed exchange: df per token is the group's row
        count (rows are distinct (doc, token)), idf = ln(N/df) attached
@@ -510,10 +510,10 @@ def tfidf_top_terms(ds, text_col: str = "text", id_col: str = "doc_id",
     import pyarrow.compute as pc
 
     from .grouped import bucketed_apply, coalesce_small_input
+    from .keys import key_codes, run_ranks
 
     n_docs = ds.count()
-    id_type = ds.schema().base_schema.field(id_col).type
-    id_pd_dtype = "int64" if pa.types.is_integer(id_type) else object
+    id_field = ds.schema().base_schema.field(id_col)
     ds = coalesce_small_input(ds)
 
     def term_counts(t: pa.Table) -> pa.Table:
@@ -525,55 +525,49 @@ def tfidf_top_terms(ds, text_col: str = "text", id_col: str = "doc_id",
         flat = tok_lists.flatten()
         counts = np.diff(tok_lists.offsets.to_numpy().astype(np.int64))
         parent = np.repeat(np.arange(t.num_rows, dtype=np.int64), counts)
-        mask = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
-        toks = flat.to_numpy(zero_copy_only=False)[mask]
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)[parent[mask]]
-        tf = (pd.DataFrame({id_col: ids, "token": toks})
-              .groupby([id_col, "token"], sort=False)
-              .size().reset_index(name="tf"))
-        return pa.table({
-            id_col: pa.array(tf[id_col].to_numpy(), type=id_type),
-            "token": pa.array(tf["token"], type=pa.string()),
-            "tf": pa.array(tf["tf"].to_numpy(), type=pa.int64()),
-        })
+        mask = pc.greater(pc.utf8_length(flat), 0)
+        tf = pa.table({
+            id_col: t.column(id_col).take(pa.array(parent).filter(mask)),
+            "token": flat.filter(mask),
+        }).group_by([id_col, "token"], use_threads=False).aggregate(
+            [([], "count_all")])
+        tf = tf.filter(pc.is_valid(tf.column(id_col)))  # null ids drop out
+        return pa.table(tf.columns, schema=_tf)
 
-    _scored_empty = pd.DataFrame({
-        id_col: pd.Series(dtype=id_pd_dtype), "token": pd.Series(dtype=object),
-        "tf": pd.Series(dtype="int64"), "df": pd.Series(dtype="int64"),
-        "tfidf": pd.Series(dtype="float64"),
-    })
+    _tf = pa.schema([id_field, ("token", pa.string()), ("tf", pa.int64())])
+    _scored = _tf.append(pa.field("df", pa.int64())).append(
+        pa.field("tfidf", pa.float64()))
+    _out = _scored.append(pa.field("rank", pa.int64()))
 
-    _empty = _scored_empty.assign(rank=pd.Series(dtype="int64"))
+    def with_df(tf: pa.Table, dfv: np.ndarray) -> pa.Table:
+        tfidf = tf.column("tf").to_numpy() * np.log(float(n_docs) / dfv)
+        return tf.append_column("df", pa.array(dfv, pa.int64())) \
+            .append_column("tfidf", pa.array(tfidf, pa.float64()))
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([id_col, "tfidf", "token"],
-                            ascending=[True, False, True])
-        df = df.groupby(id_col, sort=False).head(k).copy()
-        df["rank"] = (df.groupby(id_col, sort=False).cumcount() + 1
-                      ).astype("int64")
-        return df
+    def topk(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(id_col, "ascending"), ("tfidf", "descending"),
+                       ("token", "ascending")])
+        rank = run_ranks(key_codes(t.column(id_col)))
+        return t.filter(pa.array(rank <= k)).append_column(
+            "rank", pa.array(rank[rank <= k], pa.int64()))
 
     if mode not in ("auto", "broadcast_df", "exchange"):
         raise ValueError(f"tfidf_top_terms: unknown mode {mode!r}")
 
     def _tfidf_exchange():
-        def attach_idf(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.copy()
-            out["df"] = df.groupby("token", sort=False)[id_col].transform(
-                "size").astype("int64")
-            out["tfidf"] = out["tf"] * np.log(float(n_docs) / out["df"])
-            return out
+        def attach_idf(t: pa.Table) -> pa.Table:
+            c = key_codes(t.column("token"))
+            return with_df(t, np.bincount(c)[c])
 
         scored = bucketed_apply(
             ds.map_batches(term_counts, batch_format="pyarrow"),
-            "token", attach_idf, empty_result=_scored_empty)
+            "token", attach_idf, empty_result=_scored.empty_table())
 
-        return bucketed_apply(scored, id_col, topk, empty_result=_empty)
+        return bucketed_apply(scored, id_col, topk,
+                              empty_result=_out.empty_table())
 
     if mode in ("auto", "broadcast_df"):
         import ray
-
-        from .grouped import _empty_arrow
 
         def _tok_hash(tokens) -> np.ndarray:
             # fixed-key siphash — elementwise-deterministic across
@@ -623,20 +617,12 @@ def tfidf_top_terms(ds, text_col: str = "text", id_col: str = "doc_id",
         dref = ray.put(np.ascontiguousarray(
             vocab["sum(dfp)"].to_numpy()[order].astype(np.int64)))
 
-        out_schema = _empty_arrow(_empty).schema
-
         def topk_local(t: pa.Table) -> pa.Table:
-            tf = term_counts(t).to_pandas()
+            tf = term_counts(t)
             hs = ray.get(href)  # zero-copy local-object-store views
             dfv = ray.get(dref)
-            h = _tok_hash(tf["token"].to_numpy())
-            tf["df"] = (dfv[np.searchsorted(hs, h)] if len(tf)
-                        else pd.Series(dtype="int64"))
-            tf["tfidf"] = tf["tf"] * np.log(float(n_docs) / tf["df"])
-            out = topk(tf)
-            return pa.Table.from_pandas(
-                out[list(_empty.columns)], schema=out_schema,
-                preserve_index=False).replace_schema_metadata(None)
+            h = _tok_hash(tf.column("token").to_numpy(zero_copy_only=False))
+            return topk(with_df(tf, dfv[np.searchsorted(hs, h)]))
 
         return ds.map_batches(topk_local, batch_format="pyarrow")
 
@@ -723,14 +709,12 @@ def pack_documents(ds, text_col: str = "text", id_col: str = "doc_id",
     tens of thousands); packing quality does not depend on n_groups,
     and resumed runs reproduce the exact assignment."""
     import numpy as np
-    import pandas as pd
     import pyarrow.compute as pc
 
     from .grouped import bucketed_apply, coalesce_small_input
     from .sampling import _md5_hash64_batch
 
     id_type = ds.schema().base_schema.field(id_col).type
-    id_pd_dtype = "int64" if pa.types.is_integer(id_type) else object
     ds = coalesce_small_input(ds)
 
     def counts(t: pa.Table) -> pa.Table:
@@ -750,19 +734,17 @@ def pack_documents(ds, text_col: str = "text", id_col: str = "doc_id",
             "n_tokens": pa.array(n_tokens, type=pa.int64()),
         })
 
-    _empty = pd.DataFrame({
-        id_col: pd.Series(dtype=id_pd_dtype),
-        "grp": pd.Series(dtype="int64"),
-        "pack_id": pd.Series(dtype="int64"),
-        "n_tokens": pd.Series(dtype="int64"),
-    })
+    out_schema = pa.schema([(id_col, id_type), ("grp", pa.int64()),
+                            ("pack_id", pa.int64()), ("n_tokens", pa.int64())])
 
-    def pack(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["grp", id_col]).reset_index(drop=True)
+    def pack(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("grp", "ascending"), (id_col, "ascending")])
+        df = t.select(["grp", "n_tokens"]).to_pandas()
         cum = (df.groupby("grp", sort=False)["n_tokens"].cumsum()
                - df["n_tokens"])
-        df["pack_id"] = (cum // max_tokens).astype("int64")
-        return df[[id_col, "grp", "pack_id", "n_tokens"]]
+        return pa.table([t.column(id_col), t.column("grp"),
+                         (cum // max_tokens).to_numpy(), t.column("n_tokens")],
+                        schema=out_schema)
 
     # exchange buckets scale WITH n_groups (a fixed 64 would put N/64
     # rows in every reduce task no matter how many groups the caller
@@ -770,4 +752,4 @@ def pack_documents(ds, text_col: str = "text", id_col: str = "doc_id",
     return bucketed_apply(
         ds.map_batches(counts, batch_format="pyarrow"),
         "grp", pack, n_buckets=max(64, min(n_groups, 65536)),
-        empty_result=_empty)
+        empty_result=out_schema.empty_table())

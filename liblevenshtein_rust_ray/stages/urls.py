@@ -17,11 +17,11 @@ Two stages:
   same patterns, same order) reproduces the output byte-for-byte, which is
   what the ``url_canonical_dedup`` SQL oracle does.
 * :func:`url_snapshot_dedup` — keep the newest snapshot per canonical URL
-  (ties broken by min crawl URL) and count snapshots.  Per-batch pandas
+  (ties broken by min crawl URL) and count snapshots.  Per-batch Arrow
   partial reduce first, so the single hash exchange ships one row per
   (batch × canonical), not one per snapshot; the final combine runs in
-  :func:`~.grouped.bucketed_apply` buckets (C-path groupby, bounded bucket
-  size — at 10^12 docs pass more buckets, same one exchange).
+  :func:`~.grouped.bucketed_apply` buckets (Arrow ``group_by``, bounded
+  bucket size — at 10^12 docs pass more buckets, same one exchange).
 
 Reference parity: the reference engine dedups dictionary terms before
 automaton construction (``src/dictionary/dawg.rs`` sorted-unique input
@@ -29,7 +29,6 @@ contract); this is the web-corpus analogue at the record level.
 """
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -184,11 +183,11 @@ def host_stats(ds, url_col: str = "url", text_col: str = "text",
     """Per-host corpus stats for domain-level curation: page count, total
     and mean text chars, and a ``flag_mega`` verdict for hosts above
     :data:`HOST_MAX_PAGES`.  Host extraction is one vectorized RE2 kernel;
-    reduction is per-batch pandas partials then ONE bucketed exchange of
+    reduction is per-batch Arrow partials then ONE bucketed exchange of
     (host, count, sum) rows — the exchange ships one row per (batch x
     host), never per page."""
 
-    def partial(t: pa.Table) -> pd.DataFrame:
+    def partial(t: pa.Table) -> pa.Table:
         host = pc.struct_field(
             pc.extract_regex(
                 pc.coalesce(t.column(url_col),
@@ -197,31 +196,34 @@ def host_stats(ds, url_col: str = "url", text_col: str = "text",
         host = pc.coalesce(host, pa.scalar("", type=pa.string()))
         chars = pc.utf8_length(
             pc.coalesce(t.column(text_col), pa.scalar("", type=pa.string())))
-        df = pd.DataFrame({
-            "host": host.to_pandas(),
+        return _host_sums(pa.table({
+            "host": host,
             "n_pages": np.ones(t.num_rows, dtype=np.int64),
-            "sum_chars": chars.to_pandas().astype(np.int64),
-        })
-        return df.groupby("host", sort=False, as_index=False).agg(
-            n_pages=("n_pages", "sum"), sum_chars=("sum_chars", "sum"))
+            "sum_chars": chars.cast(pa.int64()),
+        }))
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("host", sort=False, as_index=False).agg(
-            n_pages=("n_pages", "sum"), sum_chars=("sum_chars", "sum"))
-        g["mean_chars"] = g["sum_chars"] / g["n_pages"]
-        g["flag_mega"] = g["n_pages"] > HOST_MAX_PAGES
-        return g[["host", "n_pages", "sum_chars", "mean_chars", "flag_mega"]]
+    def combine(t: pa.Table) -> pa.Table:
+        g = _host_sums(t)
+        n, s = g["n_pages"].to_numpy(), g["sum_chars"].to_numpy()
+        return pa.table({
+            "host": g["host"], "n_pages": n, "sum_chars": s,
+            "mean_chars": s / n, "flag_mega": n > HOST_MAX_PAGES,
+        }, schema=_HOST_STATS)
 
-    empty = pd.DataFrame({
-        "host": pd.Series([], dtype=object),
-        "n_pages": pd.Series([], dtype=np.int64),
-        "sum_chars": pd.Series([], dtype=np.int64),
-        "mean_chars": pd.Series([], dtype=np.float64),
-        "flag_mega": pd.Series([], dtype=bool),
-    })
     return bucketed_apply(ds.map_batches(partial, batch_format="pyarrow"),
                           "host", combine, n_buckets=n_buckets,
-                          empty_result=empty)
+                          empty_result=_HOST_STATS.empty_table())
+
+
+def _host_sums(t: pa.Table) -> pa.Table:
+    return t.group_by("host", use_threads=False).aggregate(
+        [("n_pages", "sum"), ("sum_chars", "sum")]
+    ).rename_columns(["host", "n_pages", "sum_chars"])
+
+
+_HOST_STATS = pa.schema([
+    ("host", pa.string()), ("n_pages", pa.int64()), ("sum_chars", pa.int64()),
+    ("mean_chars", pa.float64()), ("flag_mega", pa.bool_())])
 
 
 def _make_combine(carry_cols: tuple[str, ...]):
@@ -231,15 +233,12 @@ def _make_combine(carry_cols: tuple[str, ...]):
     order = ["canonical_url", "kept_url", "kept_ts", "n_snapshots",
              *carry_cols]
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["kept_ts", "kept_url"],
-                            ascending=[False, True], kind="stable")
-        g = df.groupby("canonical_url", sort=False, as_index=False)
-        out = g.agg(kept_url=("kept_url", "first"),
-                    kept_ts=("kept_ts", "first"),
-                    n_snapshots=("n_snapshots", "sum"),
-                    **{c: (c, "first") for c in carry_cols})
-        return out[order]
+    def combine(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("kept_ts", "descending"), ("kept_url", "ascending")])
+        return t.group_by("canonical_url", use_threads=False).aggregate(
+            [("kept_url", "first"), ("kept_ts", "first"),
+             ("n_snapshots", "sum"), *[(c, "first") for c in carry_cols]]
+        ).rename_columns(order)
 
     return combine
 
@@ -269,25 +268,19 @@ def url_snapshot_dedup(ds, url_col: str = "url", ts_col: str = "warc_ts",
     ds = canonicalize_urls(ds, url_col=url_col)
     combine = _make_combine(tuple(carry_cols))
 
-    def partial(t: pa.Table) -> pd.DataFrame:
-        epoch = _epoch_seconds(t.column(ts_col))
-        cols = {
-            "canonical_url": t.column("canonical_url").to_pandas(),
-            "kept_url": t.column(url_col).to_pandas(),
-            "kept_ts": epoch.to_pandas().astype(np.int64),
+    def partial(t: pa.Table) -> pa.Table:
+        return combine(pa.table({
+            "canonical_url": t.column("canonical_url"),
+            "kept_url": t.column(url_col),
+            "kept_ts": _epoch_seconds(t.column(ts_col)),
             "n_snapshots": np.ones(t.num_rows, dtype=np.int64),
-        }
-        for c in carry_cols:
-            cols[c] = t.column(c).to_pandas()
-        return combine(pd.DataFrame(cols))
+            **{c: t.column(c) for c in carry_cols},
+        }))
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    empty = pd.DataFrame({
-        "canonical_url": pd.Series([], dtype=object),
-        "kept_url": pd.Series([], dtype=object),
-        "kept_ts": pd.Series([], dtype=np.int64),
-        "n_snapshots": pd.Series([], dtype=np.int64),
-        **{c: pd.Series([], dtype=object) for c in carry_cols},
-    })
+    empty = pa.schema([
+        ("canonical_url", pa.string()), ("kept_url", pa.string()),
+        ("kept_ts", pa.int64()), ("n_snapshots", pa.int64()),
+        *[(c, pa.string()) for c in carry_cols]]).empty_table()
     return bucketed_apply(partials, "canonical_url", combine,
                           n_buckets=n_buckets, empty_result=empty)

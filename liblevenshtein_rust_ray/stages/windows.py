@@ -23,15 +23,17 @@ def sessionize(ds, key_col: str, ts_col: str, gap_seconds: float):
     Output: (key, session_id, session_start, session_end, n_events) with
     session_id = rank of the session within the key (1-based)."""
     from .grouped import bucketed_apply
+    from .keys import run_ranks
 
     gap = pd.Timedelta(seconds=gap_seconds)
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key_col, ts_col], kind="mergesort")
-        new_key = df[key_col].ne(df[key_col].shift())
-        gap_break = df[ts_col].diff() > gap
-        start = (new_key | gap_break).cumsum()
-        g = df.groupby(start, sort=False)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        df = t.sort_by([(key_col, "ascending"), (ts_col, "ascending")]) \
+            .to_pandas()
+        new_key = df[key_col].ne(df[key_col].shift()).to_numpy()
+        new_key[:1] = True  # also when null: a null key never reads "ne"
+        starts = new_key | (df[ts_col].diff() > gap).to_numpy()
+        g = df.groupby(np.cumsum(starts), sort=False)
         out = pd.DataFrame(
             {
                 key_col: g[key_col].first(),
@@ -40,8 +42,17 @@ def sessionize(ds, key_col: str, ts_col: str, gap_seconds: float):
                 "n_events": g[ts_col].size().astype("int64"),
             }
         ).reset_index(drop=True)
-        out["session_id"] = out.groupby(key_col, sort=False).cumcount() + 1
-        return out[[key_col, "session_id", "session_start", "session_end", "n_events"]]
+        # sessions come sorted by key: number them from each key's first
+        out["session_id"] = run_ranks(np.cumsum(new_key[starts]))
+        # null keys stay unnumbered, as a pandas groupby leaves them
+        out["session_id"] = out["session_id"].where(out[key_col].notna())
+        schema = pa.schema([
+            t.schema.field(key_col), ("session_id", pa.int64()),
+            ("session_start", t.schema.field(ts_col).type),
+            ("session_end", t.schema.field(ts_col).type),
+            ("n_events", pa.int64())])
+        return pa.Table.from_pandas(out, schema=schema, preserve_index=False) \
+            .replace_schema_metadata(None)
 
     return bucketed_apply(
         ds.select_columns([key_col, ts_col]),
@@ -118,6 +129,7 @@ def asof_join(left, right, key_col: str, ts_col: str, right_cols: list[str],
     import pyarrow as pa
 
     from .grouped import bucketed_apply
+    from .keys import key_codes
 
     lcols = list(left.schema().names)
     rts = f"ts{suffix}"
@@ -159,10 +171,21 @@ def asof_join(left, right, key_col: str, ts_col: str, right_cols: list[str],
         right.map_batches(prep_right, batch_format="pandas")
     )
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        l = df[df["__side"] == "l"][lcols].sort_values(ts_col, kind="mergesort")
+    out_schema = pa.schema([
+        *(lschema.field(c) for c in lcols),
+        pa.field(rts, rschema.field(ts_col).type),
+        *(pa.field(rc, rschema.field(c).type)
+          for c, rc in zip(right_cols, rpay))])
+
+    def per_bucket(t: pa.Table) -> pa.Table:
+        # merge_asof's ``by`` hashes object strings only up to a NUL: match
+        # on the key's dictionary codes instead
+        df = t.to_pandas()
+        df["__k"] = key_codes(t.column(key_col))
+        l = df[df["__side"] == "l"][[*lcols, "__k"]].sort_values(
+            ts_col, kind="mergesort")
         r = (
-            df[df["__side"] == "r"][[key_col, ts_col, rts, *rpay]]
+            df[df["__side"] == "r"][["__k", ts_col, rts, *rpay]]
             .sort_values(ts_col, kind="mergesort")
         )
         if not len(r):
@@ -170,11 +193,15 @@ def asof_join(left, right, key_col: str, ts_col: str, right_cols: list[str],
             out[rts] = pd.NaT
             for rc in rpay:
                 out[rc] = np.nan
-            return out[out_cols]
-        merged = pd.merge_asof(l, r, on=ts_col, by=key_col, direction="backward")
-        return merged[out_cols]
+        else:
+            out = pd.merge_asof(l, r, on=ts_col, by="__k",
+                                direction="backward")
+        return pa.Table.from_pandas(out[out_cols], schema=out_schema,
+                                    preserve_index=False) \
+            .replace_schema_metadata(None)
 
-    return bucketed_apply(both, key_col, per_bucket)
+    return bucketed_apply(both, key_col, per_bucket,
+                          empty_result=out_schema.empty_table())
 
 
 def time_band_join(left, right, key_col: str, ts_col: str, band_s: int,
@@ -196,6 +223,7 @@ def time_band_join(left, right, key_col: str, ts_col: str, band_s: int,
     microseconds).
     """
     from .grouped import bucketed_apply
+    from .keys import arrow_type, key_codes
 
     band_us = int(band_s) * 1_000_000
 
@@ -210,57 +238,52 @@ def time_band_join(left, right, key_col: str, ts_col: str, band_s: int,
         return col.cast(pa.int64()).to_numpy(zero_copy_only=False) * 1_000_000
 
     def prep(side: str, id_col: str, replicate: bool):
-        def fn(t: pa.Table) -> pd.DataFrame:
+        def fn(t: pa.Table) -> pa.Table:
             ep = _epoch_us(t.column(ts_col))
             b = ep // band_us
-            df = pd.DataFrame({
-                key_col: t.column(key_col).to_pandas(),
+            out = pa.table({
+                key_col: t.column(key_col),
                 "__b": b,
                 "__ts": ep,
-                "__id": t.column(id_col).to_pandas(),
-                "__side": side,
+                "__id": t.column(id_col),
+                "__side": pa.array([side] * t.num_rows, pa.string()),
             })
             if not replicate:
-                return df
-            lo = df.copy(); lo["__b"] = lo["__b"] - 1
-            hi = df.copy(); hi["__b"] = hi["__b"] + 1
-            return pd.concat([lo, df, hi], ignore_index=True)
+                return out
+            return pa.concat_tables([
+                out.set_column(1, "__b", pa.array(b + d)) for d in (-1, 0, 1)])
         return fn
 
     tagged = left.map_batches(prep("l", left_id, False),
                               batch_format="pyarrow").union(
         right.map_batches(prep("r", right_id, True), batch_format="pyarrow"))
 
-    def _id_dtype(ds, name):
-        base = ds.schema().base_schema
-        if hasattr(base, "field"):  # Arrow schema
-            return base.field(name).type.to_pandas_dtype()
-        return dict(zip(base.names, base.types))[name]  # pandas block schema
+    empty = pa.schema([(left_id, arrow_type(left, left_id)),
+                       (right_id, arrow_type(right, right_id)),
+                       ("dt_us", pa.int64())]).empty_table()
 
-    ldt = _id_dtype(left, left_id)
-    rdt = _id_dtype(right, right_id)
-    empty = pd.DataFrame({left_id: pd.Series(dtype=ldt),
-                          right_id: pd.Series(dtype=rdt),
-                          "dt_us": pd.Series(dtype="int64")})
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        lt = df[df["__side"] == "l"]
-        rt = df[df["__side"] == "r"]
-        if not len(lt) or not len(rt):
-            return empty
-        m = lt.merge(rt, on=[key_col, "__b"], suffixes=("_l", "_r"))
+    def per_bucket(t: pa.Table) -> pa.Table:
+        side = t.column("__side").to_numpy(zero_copy_only=False)
+        df = pd.DataFrame({"__k": key_codes(t.column(key_col)),
+                           "__b": t.column("__b").to_numpy(),
+                           "__ts": t.column("__ts").to_numpy(),
+                           "__row": np.arange(t.num_rows)})
+        m = df[side == "l"].merge(df[side == "r"], on=["__k", "__b"],
+                                  suffixes=("_l", "_r"))
         dt = m["__ts_l"].to_numpy() - m["__ts_r"].to_numpy()
         keep = np.abs(dt) <= band_us
-        return pd.DataFrame({
-            left_id: m["__id_l"].to_numpy()[keep],
-            right_id: m["__id_r"].to_numpy()[keep],
+        ids = t.column("__id")
+        return pa.table({
+            left_id: ids.take(m["__row_l"].to_numpy()[keep]),
+            right_id: ids.take(m["__row_r"].to_numpy()[keep]),
             "dt_us": dt[keep],
-        })
+        }, schema=empty.schema)
 
     pairs = bucketed_apply(tagged, [key_col, "__b"], per_bucket,
                            n_buckets=n_buckets, empty_result=empty)
     # adjacent-bucket replicas see a pair twice — exact dedup
     return bucketed_apply(
         pairs, [left_id, right_id],
-        lambda df: df.drop_duplicates([left_id, right_id]),
+        lambda t: t.group_by([left_id, right_id], use_threads=False)
+        .aggregate([("dt_us", "first")]).rename_columns(empty.column_names),
         empty_result=empty)

@@ -546,14 +546,14 @@ def _record_pass_blocks(monkeypatch):
     from liblevenshtein_rust_ray.stages import grouped
 
     blocks: list = []
-    apply = grouped.bucketed_apply_arrow
+    apply = grouped.bucketed_apply
 
     def recording(*args, **kwargs):
         out = apply(*args, **kwargs).materialize()
         blocks.append(out.num_blocks())
         return out
 
-    monkeypatch.setattr(grouped, "bucketed_apply_arrow", recording)
+    monkeypatch.setattr(grouped, "bucketed_apply", recording)
     return blocks
 
 
@@ -769,20 +769,6 @@ def test_hash_buckets_pinned():
     large = t.set_column(0, "k", t["k"].cast(pa.large_string()))
     assert (hash_buckets(large, ["k"], 256).tolist()
             == hash_buckets(t, ["k"], 256).tolist())
-
-
-def test_empty_arrow_matches_edge_schema():
-    """Empty bucket outputs are typed Arrow tables with the SAME column set
-    and compatible types as real edge frames (they union downstream)."""
-    from liblevenshtein_rust_ray.stages.grouped import _empty_arrow
-
-    empty = pd.DataFrame({"url_a": pd.Series(dtype="object"),
-                          "url_b": pd.Series(dtype="object"),
-                          "distance": pd.Series(dtype="int32")})
-    t = _empty_arrow(empty)
-    assert t.num_rows == 0
-    assert t.column_names == list(empty.columns)
-    assert t.schema == _edges_schema()
 
 
 def test_numpy_thp_madvise_disabled_in_process():

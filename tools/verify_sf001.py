@@ -9,13 +9,14 @@ Usage: python tools/verify_sf001.py [sf_dir] [query ...]
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part",
@@ -73,6 +74,7 @@ def main():
         try:
             rdf = to_df(fn(sf_dir))
             row["rows"] = len(rdf)
+            row["hash"] = value_hash(rdf)[:12]
             if name in oracles:
                 odf = con.sql(oracles[name]).df()
                 row["oracle_rows"] = len(odf)
@@ -95,7 +97,7 @@ def main():
                   "--" if "oracle" in row else
                   "ERR" if "err" in row else "BAD")
         print(f"{status} {name:45s} rows={row.get('rows', '?'):>8} "
-              f"{row['sec']:6.2f}s {row.get('err', '')}", flush=True)
+              f"{row['sec']:6.2f}s {row.get('hash', '')} {row.get('err', '')}", flush=True)
 
     print(json.dumps({"bad": n_bad, "total": len(qs)}))
     ray.shutdown()
