@@ -345,16 +345,15 @@ def batch_weighted_distances(queries, terms, ops: OperationSet,
     once per distinct value, pairs are processed in max-length groups so
     short pairs don't pay long pairs' DP area, and every DP cell is a (P,)
     numpy op (see ``_weighted_block``).  Property-tested against the
-    per-pair ``weighted_distance`` DP and ``brute_force_distance``."""
-    from .vectorized import encode_strings, factorize_strings
+    per-pair ``weighted_distance`` DP and ``brute_force_distance``.  Takes
+    lists or Arrow arrays, like ``vectorized.batch_distances``."""
+    from .vectorized import encode_pairs
 
     P = len(queries)
     out = np.empty(P)
     if P == 0:
         return out
-    inv, uniq = factorize_strings(queries, terms)
-    ENC, ulen = encode_strings(uniq)
-    qi, ti = inv[:P], inv[P:]
+    ENC, ulen, qi, ti = encode_pairs(queries, terms)
     qlen, tlen = ulen[qi], ulen[ti]
 
     idx = np.arange(P)

@@ -29,77 +29,85 @@ is O(P · maxlen · n) numpy ops instead of per-pair Python DP:
   matches for allowed (dict_char, query_char) pairs, as
   substitution_set.rs:156-640.
 
-Used by the block scorer for all-pairs scoring of co-blocked strings and by
-the fuzzy-join stages; cross-validated against the per-pair DP oracle by
-Hypothesis (tests/test_kernel_property.py).
+Units are the reference's CharUnits (char_unit.rs:30-78), in one encoding
+owned here: :func:`codepoints` decodes an Arrow array's values buffer (code
+points, or raw bytes for ``binary``) and :func:`pad_rows` pads any of its
+values for the band kernels.  Every caller passes Arrow arrays (or lists)
+and encodes its distinct strings once.  Cross-validated against the
+per-pair DP oracle by Hypothesis (tests/test_kernel_property.py).
 """
 
 import numpy as np
+import pyarrow as pa
 
 from .algorithm import STANDARD, TRANSPOSITION, MERGE_AND_SPLIT
 
 
-def encode_strings(strings, reverse: bool = False):
-    """Unit matrix (P, maxlen) uint32, zero-padded, + lengths: UTF-32
-    codepoints for ``str`` terms, raw bytes for ``bytes`` terms (the
-    reference's CharUnit axis, char_unit.rs:30-78)."""
-    P = len(strings)
-    lens = np.fromiter((len(s) for s in strings), dtype=np.int64, count=P)
-    maxlen = int(lens.max()) if P else 0
-    out = np.zeros((P, max(maxlen, 1)), dtype=np.uint32)
-    for i, s in enumerate(strings):
-        if s:
-            if isinstance(s, bytes):
-                cp = np.frombuffer(s, dtype=np.uint8).astype(np.uint32)
-            else:
-                cp = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-            out[i, : len(cp)] = cp[::-1] if reverse else cp
-    return out, lens
+def codepoints(arr):
+    """An Arrow ``string``/``large_string`` array (chunked or sliced) ->
+    ``(units uint32, starts int64, lens int64)``: value ``i`` is
+    ``units[starts[i] : starts[i] + lens[i]]``, its code points decoded
+    from the UTF-8 values buffer; ``binary``/``large_binary`` values come
+    out as raw bytes.  Invalid UTF-8 raises ``pa.ArrowInvalid``."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    arr.validate(full=True)
+    if not len(arr):  # an empty array's offsets buffer may be empty too
+        return np.zeros(0, np.uint32), np.zeros(0, np.int64), np.zeros(0, np.int64)
+    large = arr.type in (pa.large_string(), pa.large_binary())
+    _, offs, data = arr.buffers()
+    offs = np.frombuffer(offs, np.int64 if large else np.int32)[
+        arr.offset : arr.offset + len(arr) + 1].astype(np.int64)
+    vals = np.frombuffer(data or b"", np.uint8)[offs[0] : offs[-1]]
+    offs -= offs[0]
+    if arr.type in (pa.binary(), pa.large_binary()):
+        return vals.astype(np.uint32), offs[:-1], np.diff(offs)
+    units = vals[(vals & 0xC0) != 0x80].astype(np.uint32)  # one per lead byte
+    multi = np.flatnonzero(vals >= 0xC0)  # multi-byte leads, their units fixed up
+    lead = vals[multi]
+    width = 2 + (lead >= 0xE0) + (lead >= 0xF0)  # bytes in the sequence
+    shift = np.concatenate(([0], np.cumsum(width - 1)))  # continuation bytes before
+    cp = (lead & (0xFF >> (width + 1))).astype(np.uint32)  # the lead's payload bits
+    for k in (1, 2, 3):  # fold in the continuation bytes, 6 bits each
+        more = np.flatnonzero(width > k)
+        cp[more] = (cp[more] << 6) | (vals[multi[more] + k] & 0x3F)
+    units[multi - shift[:-1]] = cp
+    bounds = offs - shift[np.searchsorted(multi, offs)]  # values start on leads
+    return units, bounds[:-1], np.diff(bounds)
 
 
-def encode_concat(strings, reverse: bool = False, lens=None):
-    """Vectorized ``encode_strings`` for str-only inputs: ONE utf-32 encode
-    of the concatenation + a single scatter fill replaces the per-string
-    Python loop (~2 s / 600k strings on the sandbox host).  Returns
-    ``(ENC, lens, buf)`` where ``buf`` is the flat codepoint stream
-    (callers reuse it for char-histogram bounds).  Pass precomputed
-    ``lens`` to skip the per-string len() sweep."""
-    P = len(strings)
-    if lens is None:
-        lens = np.fromiter((len(s) for s in strings), dtype=np.int64, count=P)
-    buf = (
-        np.frombuffer("".join(strings).encode("utf-32-le"), dtype=np.uint32)
-        if P
-        else np.zeros(0, dtype=np.uint32)
-    )
-    maxlen = int(lens.max()) if P else 0
-    ENC = np.zeros((P, max(maxlen, 1)), dtype=np.uint32)
-    if len(buf):
-        rows = np.repeat(np.arange(P), lens)
-        cols = np.arange(len(buf), dtype=np.int64) - np.repeat(
-            np.cumsum(lens) - lens, lens
-        )
-        if reverse:
-            cols = np.repeat(lens, lens) - 1 - cols
-        ENC[rows, cols] = buf
-    return ENC, lens, buf
+def pad_rows(units, starts, lens, rows, reverse: bool = False):
+    """The values ``rows`` of :func:`codepoints`' output as the zero-padded
+    ``(len(rows), maxlen)`` uint32 matrix (at least one column) that
+    :func:`_banded_pairs` reads; ``reverse=True`` writes each value back
+    to front, the merge-and-split layout."""
+    lens = lens[rows]
+    width = max(int(lens.max(initial=0)), 1)
+    buf = np.concatenate([units[::-1] if reverse else units, np.zeros(width, np.uint32)])
+    first = len(units) - starts[rows] - lens if reverse else starts[rows]
+    out = np.lib.stride_tricks.sliding_window_view(buf, width)[first]
+    out[np.arange(width) >= lens[:, None]] = 0
+    return out
 
 
-def factorize_strings(queries, terms):
-    """Codes over ``queries + terms`` and the distinct values, first-seen
-    order.  A dict, not ``pd.factorize``: pandas' string hash table stops
-    at a NUL (``"\\x00a"`` and ``"\\x00b"`` would share a code)."""
-    ids: dict = {}
-    both = [*queries, *terms]
-    inv = np.fromiter((ids.setdefault(s, len(ids)) for s in both), np.int64, count=len(both))
-    return inv, list(ids)
+def encode_pairs(queries, terms, reverse: bool = False):
+    """Pair sides (lists of str or bytes, or Arrow arrays) -> ``(ENC, lens,
+    qi, ti)``: the distinct values of ``queries + terms`` (Arrow's
+    ``dictionary_encode`` compares full bytes, so values that differ only
+    after a NUL stay apart) as one :func:`pad_rows` matrix, their lengths,
+    and each pair's two rows in it."""
+    q, t = (v.combine_chunks() if isinstance(v, pa.ChunkedArray)
+            else v if isinstance(v, pa.Array) else pa.array(v) for v in (queries, terms))
+    enc = pa.concat_arrays([q, t.cast(q.type)]).dictionary_encode()
+    inv = enc.indices.to_numpy().astype(np.int64)
+    units, starts, lens = codepoints(enc.dictionary)
+    ENC = pad_rows(units, starts, lens, np.arange(len(lens)), reverse)
+    return ENC, lens, inv[: len(q)], inv[len(q) :]
 
 
 def _banded_pairs(ENC, ulen, qi, ti, n: int, algorithm: str, subst=None):
-    """Distances for pre-encoded pairs: ``ENC``/``ulen`` index distinct
-    strings, ``qi``/``ti`` are per-pair row indices.  Shared by
-    :func:`batch_distances` and the ER bucket scorer (which encodes each
-    bucket's distinct strings once).  Pairs within ``n`` in length run in
+    """Distances for the pairs of :func:`pad_rows` matrix rows ``qi``/``ti``
+    (``ulen``: the rows' lengths).  Pairs within ``n`` in length run in
     query-length-descending order, in chunks of ``CHUNK``, so a chunk's
     pairs have similar lengths and its row loop does little wasted work."""
     P = len(qi)
@@ -130,9 +138,10 @@ def _subst_keys(subst):
 
 
 def batch_distances(queries, terms, n: int, algorithm: str = STANDARD, subst=None):
-    """Distances (clamped at n+1) for ``zip(queries, terms)``; the query is
-    the automaton-side string, the term the dictionary-side string (matters
-    only for directional ``subst`` sets)."""
+    """Distances (clamped at n+1) for ``zip(queries, terms)``
+    (:func:`encode_pairs`' inputs); the query is the automaton-side string,
+    the term the dictionary-side string (matters only for directional
+    ``subst`` sets)."""
     P = len(queries)
     out = np.full(P, n + 1, dtype=np.int32)
     if P == 0:
@@ -143,21 +152,15 @@ def batch_distances(queries, terms, n: int, algorithm: str = STANDARD, subst=Non
         from . import build_trie
         from .query import query as _kquery
 
+        queries, terms = (v.to_pylist() if hasattr(v, "to_pylist") else v for v in (queries, terms))
         for i in range(P):
             trie = build_trie([terms[i]])
             hits = list(_kquery(trie, queries[i], n, algorithm, subst=subst))
             out[i] = hits[0].distance if hits else n + 1
         return out
 
-    # encode each DISTINCT string once (pairs repeat strings heavily in
-    # all-pairs blocks), then gather rows per pair
-    reverse = algorithm == MERGE_AND_SPLIT
-    inv, terms_list = factorize_strings(queries, terms)
-    if any(isinstance(s, bytes) for s in terms_list):
-        ENC, ulen = encode_strings(terms_list, reverse=reverse)
-    else:
-        ENC, ulen, _ = encode_concat(terms_list, reverse=reverse)
-    return _banded_pairs(ENC, ulen, inv[:P], inv[P:], n, algorithm, subst)
+    ENC, ulen, qi, ti = encode_pairs(queries, terms, reverse=algorithm == MERGE_AND_SPLIT)
+    return _banded_pairs(ENC, ulen, qi, ti, n, algorithm, subst)
 
 
 def _band_setup(Q, qlen, T, tlen, n):

@@ -447,32 +447,38 @@ def evaluate_f1(clusters, labeled_pairs) -> dict:
     """Pairwise precision/recall/F1 of cluster co-membership against labeled
     within-entity pairs (FIXTURES.md §2; target >= 0.99).
 
-    ``clusters``: Dataset/DataFrame (url, cluster_id);
-    ``labeled_pairs``: DataFrame (url_a, url_b).  Predicted pairs are
-    enumerated per cluster (clusters are small by construction — bounded
-    block cardinality upstream)."""
-    if hasattr(clusters, "to_pandas"):
-        clusters = clusters.to_pandas()
-    if hasattr(labeled_pairs, "to_pandas") and not isinstance(labeled_pairs, pd.DataFrame):
-        labeled_pairs = labeled_pairs.to_pandas()
+    ``clusters``: Dataset/DataFrame/pa.Table (url, cluster_id);
+    ``labeled_pairs``: DataFrame/pa.Table (url_a, url_b).  Grouped with
+    Arrow, which compares whole strings (a pandas groupby stops at a NUL):
+    a cluster of k urls predicts k(k-1)/2 pairs, and a distinct labeled
+    pair with ``url_a < url_b`` is a true positive when both urls share a
+    cluster (the ``er_f1`` SQL oracle's terms)."""
+    import pyarrow.compute as pc
 
-    pred = set()
-    for _cid, g in clusters.groupby("cluster_id"):
-        urls = sorted(g["url"])
-        for i in range(len(urls)):
-            for j in range(i + 1, len(urls)):
-                pred.add((urls[i], urls[j]))
+    def table(x, cols):
+        x = x if isinstance(x, (pa.Table, pd.DataFrame)) else x.to_pandas()
+        return (pa.Table.from_pandas(x[cols], preserve_index=False)
+                if isinstance(x, pd.DataFrame) else x.select(cols))
 
-    truth = set(zip(labeled_pairs["url_a"], labeled_pairs["url_b"]))
-    tp = len(pred & truth)
-    precision = tp / len(pred) if pred else 1.0
-    recall = tp / len(truth) if truth else 1.0
+    cl = table(clusters, ["url", "cluster_id"])
+    lab = table(labeled_pairs, ["url_a", "url_b"]).group_by(["url_a", "url_b"]).aggregate([])
+    code = pc.dictionary_encode(cl["cluster_id"].combine_chunks()).indices.to_numpy()
+    sizes = np.bincount(code).astype(np.int64)
+    pred, truth = int((sizes * (sizes - 1) // 2).sum()), lab.num_rows
+    ia, ib = (pc.fill_null(pc.index_in(lab[c], value_set=cl["url"].combine_chunks()), -1)
+              .to_numpy() for c in ("url_a", "url_b"))
+    # an unclustered url (-1) reads a sentinel of its own side, never equal
+    same = np.append(code, -1)[ia] == np.append(code, -2)[ib]
+    tp = int((same & pc.fill_null(pc.less(lab["url_a"], lab["url_b"]), False)
+              .to_numpy(zero_copy_only=False)).sum())
+    precision = tp / pred if pred else 1.0
+    recall = tp / truth if truth else 1.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return {
         "precision": precision,
         "recall": recall,
         "f1": f1,
-        "predicted_pairs": len(pred),
-        "true_pairs": len(truth),
+        "predicted_pairs": pred,
+        "true_pairs": truth,
         "tp": tp,
     }

@@ -172,8 +172,7 @@ def _deletion_self_join(ds, col: str, n: int, algorithm: str,
             return schema.empty_table()
         a = uniq.take(pa.array(m["v_x"].to_numpy()))
         b = uniq.take(pa.array(m["v_y"].to_numpy()))
-        d = np.asarray(batch_distances(a.to_pylist(), b.to_pylist(), n,
-                                       algorithm), dtype=np.int64)
+        d = np.asarray(batch_distances(a, b, n, algorithm), dtype=np.int64)
         keep = pa.array(d <= n)
         return pa.table([a.filter(keep), b.filter(keep), d[d <= n]],
                         schema=schema)
@@ -347,9 +346,8 @@ def _deletion_probe_join(left, left_col: str, right_sigs, n: int,
         p = ray.get(probe_ref)  # zero-copy handle from the local store
         m = t.select(["sig", "val"]).join(p, "sig", join_type="inner") \
             .group_by(["tok", "val"]).aggregate([])
-        d = np.asarray(batch_distances(
-            m.column("tok").to_pylist(), m.column("val").to_pylist(), n,
-            algorithm), dtype=np.int64)
+        d = np.asarray(batch_distances(m.column("tok"), m.column("val"), n, algorithm),
+                       dtype=np.int64)
         keep = pa.array(d <= n)
         return pa.table([m.column("tok").filter(keep),
                          m.column("val").filter(keep), d[d <= n]],
@@ -410,8 +408,7 @@ def _deletion_join(left, right, left_col: str, right_col: str, n: int,
             return schema.empty_table()
         a = uniq.take(pa.array(m["v_x"].to_numpy()))
         b = uniq.take(pa.array(m["v_y"].to_numpy()))
-        d = np.asarray(batch_distances(a.to_pylist(), b.to_pylist(), n,
-                                       algorithm), dtype=np.int64)
+        d = np.asarray(batch_distances(a, b, n, algorithm), dtype=np.int64)
         keep = pa.array(d <= n)
         return pa.table([a.filter(keep), b.filter(keep), d[d <= n]],
                         schema=schema)

@@ -5,12 +5,12 @@ edge count alone (there is no plan option):
 
 * driver — when the EDGE set is small (≤ ``DRIVER_MAX_EDGES``, 32M: the
   all-Arrow union-find dictionary-encodes urls in C++, so 32M edges ≈
-  ~2 GB of distinct url strings + 0.5 GB int edge arrays + ~1 GB scipy
-  COO ≈ 4-5 GB peak driver heap; measured 7.2M edges in ~10 s), stream
-  the edges to the driver.  Edges are the SCORER's output — orders of
-  magnitude smaller than the corpus — so this is the right call for
-  small-to-medium runs (the guide's "union-find on the driver only if
-  the candidate set is provably small").
+  ~2 GB of distinct url strings + 0.5 GB int edge arrays, plus the
+  pointer-jumping loop's int64 label arrays), stream the edges to the
+  driver.  Edges are the SCORER's output — orders of magnitude smaller
+  than the corpus — so this is the right call for small-to-medium runs
+  (the guide's "union-find on the driver only if the candidate set is
+  provably small").
 * star contraction — above the bound, :func:`_star_cc` replaces edges by
   spanning stars (per-partition union-find, exact for connectivity):
   once per existing partition without a shuffle, then in keyed passes
@@ -43,10 +43,9 @@ def _cc_core(chunks_a, chunks_b):
     """Shared vectorized union-find core, all-Arrow: urls are
     dictionary-encoded in C++ (hash factorize), uniques ranked by one
     Arrow sort (so min code == lexicographically smallest member), then
-    components via scipy csgraph (or min-label pointer jumping as the
-    fallback).  Returns ``(uniq_sorted: pa.Array, label: np.int64[n])``
-    with ``uniq_sorted[label[i]]`` the smallest member url of node i's
-    component."""
+    components by min-label pointer jumping.  Returns ``(uniq_sorted:
+    pa.Array, label: np.int64[n])`` with ``uniq_sorted[label[i]]`` the
+    smallest member url of node i's component."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -74,37 +73,25 @@ def _cc_core(chunks_a, chunks_b):
     uniq = uniq.take(pa.array(order))  # uniq[r] = r-th smallest url
     n_edges = len(both) // 2
     ea, eb = codes[:n_edges], codes[n_edges:]
-    n = len(uniq)
 
-    try:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components as _scc
-
-        g = coo_matrix((np.ones(n_edges, dtype=np.int8), (ea, eb)), shape=(n, n))
-        _, comp = _scc(g, directed=False)
-        # min-url representative per component
-        rep = np.full(comp.max() + 1 if n else 0, n, dtype=np.int64)
-        np.minimum.at(rep, comp, np.arange(n))
-        label = rep[comp]
-    except ImportError:
-        # scatter-min + FULL pointer compression per round.  Compressing to
-        # the fixpoint (label[label] until stable — cheap 0.1 s gathers)
-        # keeps the outer scatter rounds at O(log diameter): measured at
-        # 22.7M edges, 6 rounds / 18 s, vs ~140 s for the previous
-        # single-jump-per-round form, whose chains dragged the round count.
-        label = np.arange(n, dtype=np.int64)
+    # scatter-min + FULL pointer compression per round.  Compressing to the
+    # fixpoint (label[label] until stable — cheap 0.1 s gathers) keeps the
+    # outer scatter rounds at O(log diameter): measured at 22.7M edges,
+    # 6 rounds / 18 s, vs ~140 s for the previous single-jump-per-round
+    # form, whose chains dragged the round count.
+    label = np.arange(len(uniq), dtype=np.int64)
+    while True:
+        m = np.minimum(label[ea], label[eb])
+        before = label.copy()
+        np.minimum.at(label, ea, m)
+        np.minimum.at(label, eb, m)
         while True:
-            m = np.minimum(label[ea], label[eb])
-            before = label.copy()
-            np.minimum.at(label, ea, m)
-            np.minimum.at(label, eb, m)
-            while True:
-                nxt = label[label]
-                if np.array_equal(nxt, label):
-                    break
-                label = nxt
-            if np.array_equal(label, before):
+            nxt = label[label]
+            if np.array_equal(nxt, label):
                 break
+            label = nxt
+        if np.array_equal(label, before):
+            break
 
     return uniq, label
 
@@ -117,14 +104,7 @@ def _driver_cc(pairs) -> pa.Table:
     object-array round trips were the whole difference."""
     import ray
 
-    # to_arrow_refs hands back pandas-backed blocks unconverted (empty
-    # sentinel blocks skip map_batches, so mixed-format inputs are legal)
-    blocks = ray.get(list(pairs.to_arrow_refs()))
-    tabs = [
-        t if isinstance(t, pa.Table) else pa.Table.from_pandas(t, preserve_index=False)
-        for t in blocks
-    ]
-    tabs = [t for t in tabs if t.num_rows]
+    tabs = [t for t in ray.get(list(pairs.to_arrow_refs())) if t.num_rows]
     if not tabs:
         return _EMPTY_LABELS
     chunks = [c for t in tabs for c in t.column("url_a").cast(pa.string()).chunks]

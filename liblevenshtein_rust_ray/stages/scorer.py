@@ -6,9 +6,10 @@ One bucket scorer, :func:`score_bucket_vectorized_arrow`:
 ``block_key`` (or once over the whole key table, in ``er_pairs``' local
 plan).  It works on integer codes and batched calls into the numpy
 banded-DP kernel (kernel.vectorized — the reference's SIMD distance
-matrix, src/distance/simd.rs).  Its edges are canonical (``url_a <
-url_b``), deduped by min distance, and exact: every same-block string pair
-within ``max_distance`` is found.  Scale design decisions (north rule):
+matrix, src/distance/simd.rs), and no string becomes a Python object.
+Its edges are canonical (``url_a < url_b``), deduped by min distance,
+and exact: every same-block string pair within ``max_distance`` is found.
+Scale design decisions (north rule):
 
 * **Identical strings collapse.**  k urls sharing one string produce a
   distance-0 STAR (k-1 edges to the lexicographically-smallest url), not
@@ -33,6 +34,7 @@ within ``max_distance`` is found.  Scale design decisions (north rule):
 """
 
 from ..kernel import STANDARD
+from ..kernel.vectorized import _banded_pairs, codepoints, pad_rows
 
 EDGE_COLUMNS = ["url_a", "url_b", "distance"]
 # Candidate string pairs the scorer generates and filters at once, and the
@@ -59,9 +61,8 @@ def _sorted_codes(chunked):
     """Arrow column -> (lex-rank codes int64, sorted dictionary Array).
 
     ``dictionary_encode`` + ``array_sort_indices`` keep everything in C —
-    row-level values never become Python objects; only the DISTINCT values
-    exist as an Arrow dictionary (and later as a Python list only where the
-    kernel needs real strings)."""
+    values never become Python objects; the DISTINCT values exist once, as
+    an Arrow dictionary."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -86,10 +87,10 @@ def score_bucket_vectorized_arrow(
     ``emit_all_pairs``, every distinct url pair within ``max_distance`` of
     each other in some block (the quadratic SQL-oracle semantics).
 
-    The exchange hands us a ``pa.Table`` and we never materialize row-level
-    Python strings — dictionary-encode in C, run the integer core, then
-    ``take`` the output urls straight from the Arrow dictionary (only
-    distinct strings cross into Python, for the DP kernel).
+    No value becomes a Python string: dictionary-encode in C, decode the
+    distinct strings to code points once (lengths, signatures and DP rows
+    all read it; invalid UTF-8 raises ``pa.ArrowInvalid``), run the integer
+    core, then ``take`` the output urls from the Arrow dictionary.
 
     ``stats``, if given, receives the candidate funnel:
     ``candidate_pairs`` (length-banded string pairs), ``signature_pairs``
@@ -102,8 +103,7 @@ def score_bucket_vectorized_arrow(
     uid, url_dict = _sorted_codes(tbl["url"])
     sid, str_dict = _sorted_codes(tbl["key_string"])
     bkid = pc.dictionary_encode(tbl["block_key"].combine_chunks()).indices.to_numpy()
-    lens = pc.utf8_length(str_dict).to_numpy().astype(np.int64)
-    lo, hi, dist = _score_bucket_core(bkid.astype(np.int64), sid, uid, str_dict.to_pylist(), lens,
+    lo, hi, dist = _score_bucket_core(bkid.astype(np.int64), sid, uid, codepoints(str_dict),
                                       max_distance, algorithm, {} if stats is None else stats,
                                       emit_all_pairs)
     return pa.table({"url_a": url_dict.take(pa.array(lo)), "url_b": url_dict.take(pa.array(hi)),
@@ -134,10 +134,10 @@ def _owners(starts, ends, p0: int = 0, p1: int | None = None):
     return i, np.arange(p0, p1) - starts[i]
 
 
-def _score_bucket_core(bkid, sid, uid, uniq_strs, lens, max_distance: int, algorithm: str,
+def _score_bucket_core(bkid, sid, uid, units, max_distance: int, algorithm: str,
                        stats: dict, emit_all_pairs: bool = False):
     """All-integer bucket scoring: (block, string, url) id triples plus the
-    distinct strings and their lengths -> deduped canonical edges
+    distinct strings' ``codepoints`` ``units`` -> deduped canonical edges
     ``(lo_url_idx, hi_url_idx, distance)``; funnel counts go to ``stats``.
 
     ``sid`` codes MUST be assigned in lexicographic string order
@@ -148,7 +148,7 @@ def _score_bucket_core(bkid, sid, uid, uniq_strs, lens, max_distance: int, algor
     the two groups instead of their representatives."""
     import numpy as np
 
-    n = max_distance
+    n, lens = max_distance, units[2]
 
     # --- dedup (block, string, url) triples via lexsort ------------------
     order = np.lexsort((uid, sid, bkid))
@@ -193,7 +193,7 @@ def _score_bucket_core(bkid, sid, uid, uniq_strs, lens, max_distance: int, algor
     # that pass the bucket's char signatures; the survivors are held until
     # there are PAIR_TILE of them, then deduped and scored in one DP batch,
     # and the batch's group pairs expand to url pairs ---------------------
-    hist, mask = _char_signatures(uniq_strs, lens)
+    hist, mask = _char_signatures(*units)
     held, n_held = [], 0
     stats.update(candidate_pairs=total, signature_pairs=0, dp_pairs=0)
     for p0 in range(0, total, PAIR_TILE):
@@ -206,8 +206,8 @@ def _score_bucket_core(bkid, sid, uid, uniq_strs, lens, max_distance: int, algor
         n_held += len(keep)
         if n_held >= PAIR_TILE or (p1 == total and n_held):
             stats["signature_pairs"] += n_held
-            ga, gb, d = _score_batch(*map(np.concatenate, zip(*held)), uniq_strs, lens,
-                                     n, algorithm, stats)
+            ga, gb, d = _score_batch(*map(np.concatenate, zip(*held)), units, n, algorithm,
+                                     stats)
             if emit_all_pairs:  # the cross product of the two groups' urls
                 e, k = _owners(*_pair_ranges(g_size[ga] * g_size[gb]))
                 ka, kb = np.divmod(k, g_size[gb[e]])
@@ -227,19 +227,19 @@ def _score_bucket_core(bkid, sid, uid, uniq_strs, lens, max_distance: int, algor
     return all_lo[keep], all_hi[keep], all_d[keep]
 
 
-def _char_signatures(uniq_strs, lens):
-    """Per string: a uint8 64-bin char histogram (chars mod 64, counts
-    clipped at 255) and its 64-bit presence mask, 72 B in all.  Built
-    PAIR_TILE // 64 strings at a time, so a bincount (np.add.at is ~7x
-    slower) has PAIR_TILE bins."""
+def _char_signatures(units, starts, lens):
+    """Per string of a :func:`~..kernel.vectorized.codepoints` encoding: a
+    uint8 64-bin char histogram (chars mod 64, counts clipped at 255) and
+    its 64-bit presence mask, 72 B in all.  Built PAIR_TILE // 64 strings
+    at a time, so a bincount (np.add.at is ~7x slower) has PAIR_TILE bins."""
     import numpy as np
 
     step = max(PAIR_TILE // 64, 1)
-    hist = np.empty((len(uniq_strs), 64), dtype=np.uint8)
-    for k0 in range(0, len(uniq_strs), step):
-        part = uniq_strs[k0:k0 + step]
-        buf = np.frombuffer("".join(part).encode("utf-32-le"), dtype=np.uint32)
-        rows = np.repeat(np.arange(len(part)) * 64, lens[k0:k0 + len(part)])
+    hist = np.empty((len(lens), 64), dtype=np.uint8)
+    for k0 in range(0, len(lens), step):
+        part = lens[k0:k0 + step]  # the strings' units are one slice
+        buf = units[starts[k0]:starts[k0] + part.sum()]
+        rows = np.repeat(np.arange(len(part)) * 64, part)
         h = np.bincount(rows + (buf & np.uint32(63)), minlength=len(part) * 64)
         hist[k0:k0 + len(part)] = np.minimum(h, 255, out=h).reshape(-1, 64)
     mask = np.packbits(hist > 0, axis=1).view(np.uint64).ravel()
@@ -263,22 +263,19 @@ def _signature_pass(sa, sb, hist, mask, n: int, algorithm: str):
     return keep[(np.maximum(A, B) - np.minimum(A, B)).sum(axis=1) <= limit]
 
 
-def _score_batch(sa, sb, ga, gb, uniq_strs, lens, n: int, algorithm: str, stats: dict):
+def _score_batch(sa, sb, ga, gb, units, n: int, algorithm: str, stats: dict):
     """Canonical string pairs ``(sa, sb)`` of the groups ``(ga, gb)`` ->
     the ``(ga, gb, distance)`` group pairs within ``n``: one banded DP per
     distinct string pair, allocating in proportion to the batch only."""
     import numpy as np
 
-    from ..kernel.vectorized import _banded_pairs, encode_concat
-
-    pair, inv = np.unique(sa * len(uniq_strs) + sb, return_inverse=True)
-    qa, qb = np.divmod(pair, len(uniq_strs))
+    lens = units[2]
+    pair, inv = np.unique(sa * len(lens) + sb, return_inverse=True)
+    qa, qb = np.divmod(pair, len(lens))
     stats["dp_pairs"] += len(pair)
     need = np.unique(np.concatenate([qa, qb]))
-    ENC, elens, _ = encode_concat([uniq_strs[k] for k in need],
-                                  reverse=(algorithm == "merge_and_split"),
-                                  lens=lens[need])
-    dist = _banded_pairs(ENC, elens, np.searchsorted(need, qa),
+    ENC = pad_rows(*units, need, reverse=algorithm == "merge_and_split")
+    dist = _banded_pairs(ENC, lens[need], np.searchsorted(need, qa),
                          np.searchsorted(need, qb), n, algorithm)[inv]
     keep = dist <= n
     return ga[keep], gb[keep], dist[keep]

@@ -182,6 +182,31 @@ def test_batch_distances_nul_strings():
     assert batch_weighted_distances(qs, ts, OperationSet.standard()).tolist() == [1, 1, 0]
 
 
+def test_batch_kernels_take_arrow_arrays():
+    """Arrow arrays (plain, sliced, chunked, large) give the list inputs'
+    distances in both batch kernels, ``subst`` fallback included."""
+    import pyarrow as pa
+
+    from liblevenshtein_rust_ray.kernel.operations import (
+        OperationSet,
+        batch_weighted_distances,
+    )
+    from liblevenshtein_rust_ray.kernel.substitution import leet_speak
+    from liblevenshtein_rust_ray.kernel.vectorized import batch_distances
+
+    qs, ts = ["ab0", "\x00é", "", "abc"], ["abo", "\x00e", "x", "cab"]
+    arrows = [(pa.array(qs), pa.array(ts)),
+              (pa.array(["z"] + qs).slice(1), pa.chunked_array([ts[:1], ts[1:]])),
+              (pa.array(qs, pa.large_string()), pa.array(ts, pa.large_string()))]
+    for alg in ALGORITHMS:
+        for sub in (None, leet_speak()):
+            want = batch_distances(qs, ts, 2, alg, sub).tolist()
+            assert all(batch_distances(q, t, 2, alg, sub).tolist() == want for q, t in arrows)
+    want = batch_weighted_distances(qs, ts, OperationSet.standard()).tolist()
+    assert all(batch_weighted_distances(q, t, OperationSet.standard()).tolist() == want
+               for q, t in arrows)
+
+
 def test_batch_distances_beyond_one_chunk():
     """A deterministic batch of more pairs than one kernel chunk (8,192),
     checked against the DP on a seeded sample, for every algorithm."""
@@ -274,35 +299,45 @@ def test_transposition_special_subsumption_regression():
 
 
 # ----------------------------------------------------------------------
-# encode_concat (one utf-32 encode of the joined strings + scatter fill)
-# ≡ the per-string encode_strings loop it replaced, including reverse
-# layout and the precomputed-lens fast path.
+# codepoints (UTF-8 values buffer -> code points, or raw bytes) + pad_rows
+# ≡ a per-value utf-32 (or byte) encode: lengths, zero padding and the
+# reversed merge-and-split layout, over sliced, chunked, large and binary
+# arrays.
 # ----------------------------------------------------------------------
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    strings=st.lists(
-        st.text(alphabet="abé日\U0001f600", min_size=0, max_size=9),
-        min_size=0,
-        max_size=30,
-    ),
+    strings=st.lists(st.text(alphabet="ab\x00é日\U0001f600", max_size=9), max_size=30),
+    as_bytes=st.booleans(),
+    large=st.booleans(),
+    cut=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 30)),
+    rows=st.lists(st.integers(0, 29), max_size=12),
     reverse=st.booleans(),
 )
-def test_encode_concat_equals_encode_strings(strings, reverse):
+def test_codepoints_pad_rows_equal_per_string_encode(strings, as_bytes, large, cut, rows,
+                                                      reverse):
     import numpy as np
+    import pyarrow as pa
 
-    from liblevenshtein_rust_ray.kernel.vectorized import (
-        encode_concat,
-        encode_strings,
-    )
+    from liblevenshtein_rust_ray.kernel.vectorized import codepoints, pad_rows
 
-    ref_enc, ref_lens = encode_strings(strings, reverse=reverse)
-    got_enc, got_lens, buf = encode_concat(strings, reverse=reverse)
-    assert np.array_equal(ref_lens, got_lens)
-    # widths may differ only in trailing all-zero padding columns
-    w = min(ref_enc.shape[1], got_enc.shape[1])
-    assert np.array_equal(ref_enc[:, :w], got_enc[:, :w])
-    assert not ref_enc[:, w:].any() and not got_enc[:, w:].any()
-    assert len(buf) == int(got_lens.sum()) if len(strings) else len(buf) == 0
-    # precomputed-lens path is identical
-    pre_enc, pre_lens, _ = encode_concat(strings, reverse=reverse, lens=got_lens)
-    assert np.array_equal(pre_enc, got_enc) and np.array_equal(pre_lens, got_lens)
+    if as_bytes:
+        values, typ = [s.encode() for s in strings], pa.large_binary() if large else pa.binary()
+        ref = [list(v) for v in values]
+    else:
+        values, typ = strings, pa.large_string() if large else pa.string()
+        ref = [np.frombuffer(v.encode("utf-32-le"), np.uint32).tolist() for v in values]
+    lo = min(cut[0], len(values))
+    hi = max(lo, len(values) - cut[1])
+    arr, ref = pa.array(values, typ).slice(lo, hi - lo), ref[lo:hi]  # non-zero offset
+    k = min(cut[2], len(arr))
+    if cut[2] % 2:
+        arr = pa.chunked_array([arr.slice(0, k), arr.slice(k)], type=typ)
+    units, starts, lens = codepoints(arr)
+    assert units.dtype == np.uint32 and lens.tolist() == [len(r) for r in ref]
+    assert [units[a:a + n].tolist() for a, n in zip(starts, lens)] == ref
+    rows = np.array([r % len(ref) for r in rows] if ref else [], dtype=np.int64)
+    enc = pad_rows(units, starts, lens, rows, reverse=reverse)
+    assert enc.shape == (len(rows), max([len(ref[r]) for r in rows] + [1]))
+    for i, r in enumerate(rows):
+        want = ref[r][::-1] if reverse else ref[r]
+        assert enc[i, :len(want)].tolist() == want and not enc[i, len(want):].any()

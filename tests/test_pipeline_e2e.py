@@ -31,6 +31,58 @@ def test_er_f1(corpus):
     assert m["precision"] >= 0.99, m
     assert m["recall"] >= 0.99, m
     assert m["f1"] >= 0.99, m
+    assert m == _evaluate_f1_pair_loop(clusters, labeled.to_pandas())
+
+
+def _evaluate_f1_pair_loop(clusters, labeled_pairs) -> dict:
+    """The pandas-groupby, per-cluster pair-loop ``evaluate_f1`` that the
+    Arrow one replaced: the oracle for NUL-free inputs with distinct urls."""
+    pred = set()
+    for _cid, g in clusters.groupby("cluster_id"):
+        urls = sorted(g["url"])
+        for i in range(len(urls)):
+            for j in range(i + 1, len(urls)):
+                pred.add((urls[i], urls[j]))
+    truth = set(zip(labeled_pairs["url_a"], labeled_pairs["url_b"]))
+    tp = len(pred & truth)
+    precision = tp / len(pred) if pred else 1.0
+    recall = tp / len(truth) if truth else 1.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return {"precision": precision, "recall": recall, "f1": f1,
+            "predicted_pairs": len(pred), "true_pairs": len(truth), "tp": tp}
+
+
+def test_evaluate_f1_equals_pair_loop_on_imperfect_clusters(corpus):
+    """Clusters that cut across entities (runs of 3 urls in url order,
+    plus a url no label names), labels in both orientations, repeated and
+    missing from the clusters: every key equals the pair-loop oracle's."""
+    import pandas as pd
+
+    pages, labeled = corpus
+    urls = sorted(pages["url"].to_pylist()) + ["http://unlabeled.example/"]
+    clusters = pd.DataFrame({"url": urls,
+                             "cluster_id": [urls[i - i % 3] for i in range(len(urls))]})
+    lab = labeled.to_pandas()[["url_a", "url_b"]]
+    flipped = lab.rename(columns={"url_a": "url_b", "url_b": "url_a"})
+    extra = pd.DataFrame({"url_a": ["http://a.example/", urls[0]], "url_b": [urls[1], urls[1]]})
+    lab = pd.concat([lab, flipped.head(20), lab.head(5), extra], ignore_index=True)
+    m = evaluate_f1(clusters, lab)
+    assert m == _evaluate_f1_pair_loop(clusters, lab)
+    assert 0 < m["tp"] < m["predicted_pairs"] and m["tp"] < m["true_pairs"]
+
+
+def test_evaluate_f1_keeps_cluster_ids_apart_after_a_nul():
+    """Cluster ids (and urls) that differ only after a NUL are different
+    clusters: pandas' object-string groupby stopped at the NUL and merged
+    them into one cluster of 4 (f1 0.5, 6 predicted pairs)."""
+    import pandas as pd
+
+    for sep in ("\x00", "\x01"):
+        x, y = f"a{sep}x", f"a{sep}y"
+        clusters = pd.DataFrame({"url": [x, "b", y, "c"], "cluster_id": [x, x, y, y]})
+        labeled = pd.DataFrame({"url_a": [x, y], "url_b": ["b", "c"]})
+        m = evaluate_f1(clusters, labeled)
+        assert (m["f1"], m["predicted_pairs"], m["tp"], m["true_pairs"]) == (1.0, 2, 2, 2), sep
 
 
 @pytest.mark.usefixtures("ray_session")

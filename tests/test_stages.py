@@ -153,6 +153,16 @@ def test_scorer_identical_strings_star():
     assert _edge_set(out) == {("u0", f"u{i}", 0) for i in range(1, 5)}
 
 
+def test_scorer_rejects_invalid_utf8_key_strings():
+    """A ``string`` key column holding bytes that are not UTF-8 raises; it
+    is never decoded into code points that score."""
+    bad = pa.array([b"abc", b"ab\xff", b"abd"], pa.binary()).view(pa.string())
+    tbl = _group([("x", f"u{i}") for i in range(3)]).set_column(2, "key_string", bad)
+    for algorithm in ALGORITHMS:
+        with pytest.raises((pa.ArrowInvalid, UnicodeDecodeError)):
+            score_bucket_vectorized_arrow(tbl, algorithm=algorithm)
+
+
 def test_scorer_cross_string_representatives():
     g = _group([("abcd", "u1"), ("abce", "u2"), ("zzzz", "u3")])
     assert _edge_set(score_bucket_vectorized_arrow(g, max_distance=1)) == {("u1", "u2", 1)}
@@ -437,9 +447,10 @@ def test_scorers_match_dp_scan_above_512_titles(algorithm, max_distance, tile, m
 
 def _signature_keeps(a: str, b: str, n: int, algorithm: str) -> bool:
     """Whether the vectorized scorer's char-signature pass keeps ``(a, b)``."""
+    from liblevenshtein_rust_ray.kernel.vectorized import codepoints
     from liblevenshtein_rust_ray.stages.scorer import _char_signatures, _signature_pass
 
-    hist, mask = _char_signatures([a, b], np.array([len(a), len(b)]))
+    hist, mask = _char_signatures(*codepoints(pa.array([a, b])))
     kept = _signature_pass(np.array([0]), np.array([1]), hist, mask, n, algorithm)
     return list(kept) == [0]
 

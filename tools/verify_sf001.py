@@ -52,7 +52,7 @@ def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     import ray
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=16, include_dashboard=False,
+        ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False,
                  logging_level="ERROR")
     import __ray_entry__ as entry
 
