@@ -1376,10 +1376,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         toks = rd.read_parquet(
             _spelling_pairs_parquet(sf_dir), columns=["misspelling"])
         words = load_dictionary_words()
-        dict_ds = rd.from_arrow(pa.table({
+        dict_ds = rd.from_blocks([pa.table({
             "word": pa.array(words, type=pa.string()),
             "freq": pa.array([1] * len(words), type=pa.int64()),
-        })).repartition(8)
+        })]).repartition(8)
         # SymSpell-style persisted dictionary index: ~25M (sig, word) rows
         # built once per machine, reused by every later correction run
         sig_dir = os.path.join(_CORPUS_CACHE, "dict_sigs_n2")

@@ -46,13 +46,14 @@ LOCAL_READ_ROWS = 16_384
 
 
 def read_pages(source):
-    """``source`` is a parquet path/dir or an existing Dataset/arrow table."""
+    """``source`` is a parquet path/dir or an existing Dataset/arrow table.
+    A table is wrapped in the driver, as one block (see :func:`er_pairs`)."""
     import ray.data as rd
 
     if isinstance(source, str):
         return rd.read_parquet(source)
     if isinstance(source, pa.Table):
-        return rd.from_arrow(source)
+        return rd.from_blocks([source])
     return source
 
 
@@ -226,7 +227,14 @@ def er_pairs(
     ``edges`` and the scorer's funnel: ``candidate_pairs`` (length-banded
     title pairs) >= ``signature_pairs`` (those passing the char-signature
     tests) >= ``dp_pairs`` (distinct pairs the banded DP scored).  It is
-    the pairs stage's checkpoint ``counters``."""
+    the pairs stage's checkpoint ``counters``.
+
+    The local plan's edges are a table the driver holds; they are wrapped
+    as one block in the driver (``rd.from_blocks``), never with
+    ``rd.from_arrow``, which computes a table's row count and schema in a
+    remote task: the first such task of a session waits for a worker to
+    start and import Ray Data and pyarrow (~1.1 s on one CPU), so a local
+    job would not stay in the driver."""
     ck = checkpoints or CheckpointManager("", enabled=False)
     fp = _pairs_fingerprint(fingerprint, max_distance, algorithm, emit_all_pairs)
     stats = {} if stats is None else stats
@@ -241,7 +249,7 @@ def er_pairs(
         configure_data_context()
         pages = _page_count(source)
         if pages is not None and pages <= _local_max_pages(_cluster_cpus()):
-            return rd.from_arrow(_local_pairs(source, stats, **score_kw))
+            return rd.from_blocks([_local_pairs(source, stats, **score_kw)])
         nb = n_buckets if n_buckets is not None else _auto_buckets(pages)
         stats.update(plan="distributed", pages=pages, n_buckets=nb)
         # all-Arrow: score within each block bucket, dedup url pairs in a

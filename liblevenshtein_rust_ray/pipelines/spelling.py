@@ -262,10 +262,10 @@ def corpus_validation(words: list[str] | None = None, n: int = 2,
     corpus = parse_mitton(make_mitton_corpus(words, sample=sample,
                                              per_word=per_word, seed=seed))
     words_ref = ray.put(words)
-    cases = rd.from_arrow(pa.table({
+    cases = rd.from_blocks([pa.table({
         "correct": pa.array([c for c, _m, _f in corpus], type=pa.string()),
         "misspelling": pa.array([m for _c, m, _f in corpus], type=pa.string()),
-    }))
+    })])
     scored = cases.map_batches(
         _DictQueryActor,
         fn_constructor_kwargs={"words_ref": words_ref, "n": n},

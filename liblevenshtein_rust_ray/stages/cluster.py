@@ -247,7 +247,7 @@ def _star_cc(pairs, n_buckets: int, max_passes: int, stats: dict | None = None):
     if stats is not None:
         stats["path"] = "contract+driver"
         _driver_stats(out, stats)
-    return rd.from_arrow(out)
+    return rd.from_blocks([out])
 
 
 def _driver_stats(out: pa.Table, stats: dict) -> None:
@@ -273,15 +273,23 @@ def connected_components(pairs, n_buckets: int = 64, stats: dict | None = None):
     ``stats`` receives the ``path`` taken (``driver``,
     ``contract+driver`` or ``contract+stars``) and the input ``edges``;
     the driver finish adds ``nodes`` and ``clusters``; contraction adds
-    ``contract_passes`` and ``contract_edges`` (one count per pass)."""
+    ``contract_passes`` and ``contract_edges`` (one count per pass).
+
+    The driver path's labels are a table the driver holds, so they are
+    wrapped in the driver (``rd.from_blocks``): ``rd.from_arrow`` computes
+    a table's row count and schema in a remote task, and the first such
+    task of a session waits for a worker to start and import Ray Data."""
     import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
 
     # count() and the driver's block fetch both consume the edge plan; a
     # LAZY input would re-execute it for the path actually taken.  Pin the
     # edge set once — count, contraction and the driver fetch all reuse
     # the same blocks (spillable; count() forces full execution anyway, so
-    # this adds retention, not work).
-    pairs = pairs.materialize()
+    # this adds retention, not work).  A materialized input is already
+    # pinned: materializing it again would only re-run its finished plan.
+    if not isinstance(pairs, MaterializedDataset):
+        pairs = pairs.materialize()
     n_edges = pairs.count()
     if stats is not None:
         stats["edges"] = n_edges
@@ -291,4 +299,4 @@ def connected_components(pairs, n_buckets: int = 64, stats: dict | None = None):
     if stats is not None:
         stats["path"] = "driver"
         _driver_stats(out, stats)
-    return rd.from_arrow(out)
+    return rd.from_blocks([out])

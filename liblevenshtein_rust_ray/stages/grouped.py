@@ -52,7 +52,10 @@ def bucketed_apply(ds, key_cols, bucket_fn, n_buckets: int = 64,
     dispatches = n_buckets, whatever the group count.  ``bucket_fn`` returns
     a ``pa.Table`` with the schema of ``empty_result`` (a typed 0-row
     table), which is unioned as the schema sentinel: an exchange over zero
-    groups still yields the column set."""
+    groups still yields the column set.  The sentinel is wrapped in the
+    driver (``rd.from_blocks``): ``rd.from_arrow`` would compute its row
+    count and schema in a remote task, one more task per exchange, and
+    the first of a session waits for a worker to start."""
     import ray.data as rd
 
     if isinstance(key_cols, str):
@@ -74,7 +77,7 @@ def bucketed_apply(ds, key_cols, bucket_fn, n_buckets: int = 64,
         .map_groups(apply_bucket, batch_format="pyarrow")
     )
     if empty_result is not None:
-        out = out.union(rd.from_arrow(empty_result))
+        out = out.union(rd.from_blocks([empty_result]))
     return out
 
 

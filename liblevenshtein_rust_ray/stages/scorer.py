@@ -192,18 +192,20 @@ def _score_bucket_core(bkid, sid, uid, units, max_distance: int, algorithm: str,
     # whole triangle.  A tile keeps the canonical (smaller sid first) pairs
     # that pass the bucket's char signatures; the survivors are held until
     # there are PAIR_TILE of them, then deduped and scored in one DP batch,
-    # and the batch's group pairs expand to url pairs ---------------------
+    # and the batch's group pairs expand to url pairs.  The presence masks
+    # are gathered once into row order, so a tile's mask test reads them
+    # by row and only its survivors go through ``gs`` ---------------------
     hist, mask = _char_signatures(*units)
+    row_mask = mask[gs]
     held, n_held = [], 0
     stats.update(candidate_pairs=total, signature_pairs=0, dp_pairs=0)
     for p0 in range(0, total, PAIR_TILE):
         p1 = min(p0 + PAIR_TILE, total)
         i, k = _owners(starts, ends, p0, p1)
         j = i + 1 + k
-        sa, sb = np.minimum(gs[i], gs[j]), np.maximum(gs[i], gs[j])
-        keep = _signature_pass(sa, sb, hist, mask, n, algorithm)
-        held.append((sa[keep], sb[keep], gid[i[keep]], gid[j[keep]]))
-        n_held += len(keep)
+        sa, sb, i, j = _signature_pass(i, j, gs, row_mask, hist, n, algorithm)
+        held.append((sa, sb, gid[i], gid[j]))
+        n_held += len(sa)
         if n_held >= PAIR_TILE or (p1 == total and n_held):
             stats["signature_pairs"] += n_held
             ga, gb, d = _score_batch(*map(np.concatenate, zip(*held)), units, n, algorithm,
@@ -246,21 +248,30 @@ def _char_signatures(units, starts, lens):
     return hist, mask
 
 
-def _signature_pass(sa, sb, hist, mask, n: int, algorithm: str):
-    """Indices of the string pairs ``(sa, sb)`` that may be within ``n``.
+def _signature_pass(i, j, gs, row_mask, hist, n: int, algorithm: str):
+    """The length-sorted group-row pairs ``(i, j)`` whose strings may be
+    within ``n`` -> their canonical string pairs ``(sa, sb)`` and rows.
     One edit moves the char-histogram L1 by at most 2 (3 for a merge or
     split), so it flips at most that many presence bits; hashing chars mod
     64 and clipping counts at 255 only weaken both bounds.  The 8 B mask
-    test runs first; its survivors' 64 B histogram rows are read after."""
+    test runs first, on the rows' masks (``row_mask = mask[gs]``); only its
+    survivors are mapped to strings and have their 64 B histogram rows read."""
     import numpy as np
 
     limit = n * (3 if algorithm == "merge_and_split" else 2)
-    x = mask[sa] ^ mask[sb]
-    for _ in range(limit):
-        x &= x - np.uint64(1)  # clear the lowest set bit
+    x = row_mask[i]
+    x ^= row_mask[j]
+    low = np.empty_like(x)
+    for _ in range(limit):  # clear the lowest set bit
+        np.subtract(x, np.uint64(1), out=low)
+        x &= low
     keep = np.flatnonzero(x == 0)  # at most ``limit`` bits differ
-    A, B = hist[sa[keep]], hist[sb[keep]]
-    return keep[(np.maximum(A, B) - np.minimum(A, B)).sum(axis=1) <= limit]
+    i, j = i[keep], j[keep]
+    a, b = gs[i], gs[j]
+    A, B = hist[a], hist[b]
+    keep = np.flatnonzero((np.maximum(A, B) - np.minimum(A, B)).sum(axis=1) <= limit)
+    a, b = a[keep], b[keep]
+    return np.minimum(a, b), np.maximum(a, b), i[keep], j[keep]
 
 
 def _score_batch(sa, sb, ga, gb, units, n: int, algorithm: str, stats: dict):

@@ -442,7 +442,7 @@ def semdedup(
                       "keep": pa.array([], type=pa.bool_())})
     import ray.data as rd
 
-    return out.union(rd.from_arrow(empty))
+    return out.union(rd.from_blocks([empty]))
 
 
 def decontaminate_embeddings(ds, bench, vec_col: str = "embedding",

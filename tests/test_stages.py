@@ -451,8 +451,9 @@ def _signature_keeps(a: str, b: str, n: int, algorithm: str) -> bool:
     from liblevenshtein_rust_ray.stages.scorer import _char_signatures, _signature_pass
 
     hist, mask = _char_signatures(*codepoints(pa.array([a, b])))
-    kept = _signature_pass(np.array([0]), np.array([1]), hist, mask, n, algorithm)
-    return list(kept) == [0]
+    sa, _sb, _i, _j = _signature_pass(np.array([0]), np.array([1]), np.arange(2), mask,
+                                      hist, n, algorithm)
+    return len(sa) == 1
 
 
 # 'a' (97) and '\xa1' (161) share a bin mod 64, as do 'b' and '\xa2'; two
