@@ -4,7 +4,7 @@ over Common-Crawl-style pages (the north star).
 Dataflow (Arrow batches)::
 
     pages
-      -> extract_batch                  canonical text + title, html dropped
+      -> page_titles                    (url, title): extract_batch's titles
       -> blocking_keys_batch            explode to (block_key, url, key_string)
       -> score_bucket_vectorized_arrow  per hash bucket of block_key
          (emit_all_pairs=True expands its edges to every url pair)
@@ -29,7 +29,7 @@ import pyarrow.parquet as pq
 
 from ..kernel import STANDARD
 from ..stages.blocking import blocking_keys_batch
-from ..stages.extract import extract_batch, EXTRACTOR_VERSION
+from ..stages.extract import EXTRACTOR_VERSION, page_titles
 from ..stages.cluster import connected_components
 from ..stages.grouped import bucketed_apply
 from ..stages.scorer import (
@@ -123,15 +123,24 @@ def _min_dedup(tbl):
     return g.rename_columns(["url_a", "url_b", "distance"])
 
 
+def _title_columns(names) -> list[str]:
+    """The columns :func:`page_titles` reads, of those a source has."""
+    return [c for c in ("url", "text", "html") if c in names]
+
+
 def _page_batches(source):
     """Pages as Arrow tables, a parquet batch at a time, so ``html`` is
-    never held for the whole corpus."""
+    never held for the whole corpus; a table or parquet file gives only
+    the columns ``page_titles`` reads."""
     if isinstance(source, pa.Table):
+        source = source.select(_title_columns(source.column_names))
         for b in source.to_batches(max_chunksize=LOCAL_READ_ROWS):
             yield pa.Table.from_batches([b])
     elif isinstance(source, str):  # _page_count listed it
         for f in _parquet_files(source):
-            for b in pq.ParquetFile(f).iter_batches(batch_size=LOCAL_READ_ROWS):
+            pf = pq.ParquetFile(f)
+            for b in pf.iter_batches(batch_size=LOCAL_READ_ROWS,
+                                     columns=_title_columns(pf.schema_arrow.names)):
                 yield pa.Table.from_batches([b])
     else:
         yield from source.iter_batches(batch_size=None, batch_format="pyarrow")
@@ -160,7 +169,7 @@ def _local_pairs(source, stats: dict, **score_kwargs):
     pages, parts = 0, []
     for t in _page_batches(source):
         pages += t.num_rows
-        parts.append(blocking_keys_batch(extract_batch(t)))
+        parts.append(blocking_keys_batch(page_titles(t)))
     keys = pa.concat_tables(parts) if parts else pa.schema(
         [(c, pa.string()) for c in ("block_key", "url", "key_string")]).empty_table()
     stats.update(plan="local", pages=pages, key_rows=keys.num_rows)
@@ -172,7 +181,7 @@ def _local_pairs(source, stats: dict, **score_kwargs):
 def _key_rows(source):
     """Pages -> (block_key, url, key_string) rows, as Ray Data map stages."""
     ds = read_pages(source)
-    ds = ds.map_batches(extract_batch, batch_format="pyarrow")
+    ds = ds.map_batches(page_titles, batch_format="pyarrow")
     return ds.map_batches(blocking_keys_batch, batch_format="pyarrow")
 
 
@@ -224,10 +233,12 @@ def er_pairs(
 
     ``stats`` receives ``plan`` and ``pages`` (None if unknown); the
     distributed plan adds ``n_buckets``, the local plan ``key_rows``,
-    ``edges`` and the scorer's funnel: ``candidate_pairs`` (length-banded
-    title pairs) >= ``signature_pairs`` (those passing the char-signature
-    tests) >= ``dp_pairs`` (distinct pairs the banded DP scored).  It is
-    the pairs stage's checkpoint ``counters``.
+    ``edges`` and the scorer's counts: ``paired_rows`` (key rows whose
+    block holds another row; the scorer drops the rest first) and the
+    funnel ``candidate_pairs`` (length-banded title pairs) >=
+    ``signature_pairs`` (those passing the char-signature tests) >=
+    ``dp_pairs`` (distinct pairs the banded DP scored).  It is the pairs
+    stage's checkpoint ``counters``.
 
     The local plan's edges are a table the driver holds; they are wrapped
     as one block in the driver (``rd.from_blocks``), never with

@@ -92,7 +92,9 @@ def score_bucket_vectorized_arrow(
     all read it; invalid UTF-8 raises ``pa.ArrowInvalid``), run the integer
     core, then ``take`` the output urls from the Arrow dictionary.
 
-    ``stats``, if given, receives the candidate funnel:
+    A row alone in its block has no partner and no star, so it is dropped
+    before anything is encoded.  ``stats``, if given, receives
+    ``paired_rows`` (the rows kept) and the candidate funnel:
     ``candidate_pairs`` (length-banded string pairs), ``signature_pairs``
     (those passing both char-signature tests) and ``dp_pairs`` (distinct
     pairs the DP scored)."""
@@ -100,12 +102,15 @@ def score_bucket_vectorized_arrow(
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    stats = {} if stats is None else stats
+    bkid = pc.dictionary_encode(tbl["block_key"].combine_chunks()).indices.to_numpy()
+    paired = np.bincount(bkid)[bkid] > 1
+    tbl, bkid = tbl.filter(pa.array(paired)), bkid[paired].astype(np.int64)
+    stats["paired_rows"] = len(bkid)
     uid, url_dict = _sorted_codes(tbl["url"])
     sid, str_dict = _sorted_codes(tbl["key_string"])
-    bkid = pc.dictionary_encode(tbl["block_key"].combine_chunks()).indices.to_numpy()
-    lo, hi, dist = _score_bucket_core(bkid.astype(np.int64), sid, uid, codepoints(str_dict),
-                                      max_distance, algorithm, {} if stats is None else stats,
-                                      emit_all_pairs)
+    lo, hi, dist = _score_bucket_core(bkid, sid, uid, codepoints(str_dict), max_distance,
+                                      algorithm, stats, emit_all_pairs)
     return pa.table({"url_a": url_dict.take(pa.array(lo)), "url_b": url_dict.take(pa.array(hi)),
                      "distance": pa.array(dist, type=pa.int32())}, schema=_edges_schema())
 
@@ -150,40 +155,38 @@ def _score_bucket_core(bkid, sid, uid, units, max_distance: int, algorithm: str,
 
     n, lens = max_distance, units[2]
 
-    # --- dedup (block, string, url) triples via lexsort ------------------
-    order = np.lexsort((uid, sid, bkid))
-    b, s, u = bkid[order], sid[order], uid[order]
-    first = np.ones(len(b), dtype=bool)
-    first[1:] = (b[1:] != b[:-1]) | (s[1:] != s[:-1]) | (u[1:] != u[:-1])
-    b, s, u = b[first], s[first], u[first]
-
-    # --- (block, string) groups: rows are sorted by (block, string, url),
-    # so a group is a run and its head row holds the min url --------------
-    head = np.ones(len(b), dtype=bool)
-    head[1:] = (b[1:] != b[:-1]) | (s[1:] != s[:-1])
+    # --- one sort, by (block, length, string, url): adjacent equal rows
+    # are duplicate triples, a (block, string) group is a run whose head
+    # row holds the min url, and the groups come out length-sorted within
+    # each block, the order the candidate pairs read.  ``block * span +
+    # length`` keeps blocks apart, as no length reaches ``span`` ---------
+    key = bkid * (int(lens.max(initial=0)) + n + 1) + lens[sid]
+    order = np.lexsort((uid, sid, key))
+    key, s, u = key[order], sid[order], uid[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]) | (s[1:] != s[:-1]) | (u[1:] != u[:-1])
+    key, s, u = key[first], s[first], u[first]
+    head = np.ones(len(key), dtype=bool)
+    head[1:] = (key[1:] != key[:-1]) | (s[1:] != s[:-1])
     g_start = np.flatnonzero(head)
-    g_size = np.diff(np.append(g_start, len(b)))
+    g_size = np.diff(np.append(g_start, len(key)))
     grp = np.cumsum(head) - 1
     rep_u = u[g_start]
 
     # --- distance-0 edges: every non-head row stars to its head, or, for
     # all pairs, pairs with every row after it in its group ---------------
     if emit_all_pairs:
-        i, k = _owners(*_pair_ranges(g_start[grp] + g_size[grp] - np.arange(len(b)) - 1))
+        i, k = _owners(*_pair_ranges(g_start[grp] + g_size[grp] - np.arange(len(u)) - 1))
         out = [(u[i], u[i + 1 + k], np.zeros(len(i), dtype=np.int64))]
     else:
         star = ~head
         out = [(rep_u[grp[star]], u[star], np.zeros(int(star.sum()), dtype=np.int64))]
 
     # --- candidate pairs: one edit moves a length by at most 1, so with a
-    # block's distinct strings sorted by length, a string's only partners
-    # are the rows after it up to its length + n (lossless for every
-    # algorithm).  ``block * span + length`` keeps blocks apart, so one
-    # searchsorted finds every row's partner range ------------------------
-    gs = s[g_start]
-    key = b[g_start] * (int(lens.max(initial=0)) + n + 1) + lens[gs]
-    gid = np.argsort(key, kind="stable")
-    key, gs = key[gid], gs[gid]
+    # block's groups sorted by length, a string's only partners are the
+    # groups after it up to its length + n (lossless for every algorithm);
+    # one searchsorted on the group keys finds every group's range --------
+    key, gs = key[g_start], s[g_start]
     starts, ends = _pair_ranges(
         np.searchsorted(key, key + n, side="right") - np.arange(len(key)) - 1)
     total = int(ends[-1]) if len(ends) else 0
@@ -204,7 +207,7 @@ def _score_bucket_core(bkid, sid, uid, units, max_distance: int, algorithm: str,
         i, k = _owners(starts, ends, p0, p1)
         j = i + 1 + k
         sa, sb, i, j = _signature_pass(i, j, gs, row_mask, hist, n, algorithm)
-        held.append((sa, sb, gid[i], gid[j]))
+        held.append((sa, sb, i, j))
         n_held += len(sa)
         if n_held >= PAIR_TILE or (p1 == total and n_held):
             stats["signature_pairs"] += n_held
@@ -255,7 +258,8 @@ def _signature_pass(i, j, gs, row_mask, hist, n: int, algorithm: str):
     split), so it flips at most that many presence bits; hashing chars mod
     64 and clipping counts at 255 only weaken both bounds.  The 8 B mask
     test runs first, on the rows' masks (``row_mask = mask[gs]``); only its
-    survivors are mapped to strings and have their 64 B histogram rows read."""
+    survivors are mapped to strings and have their 64 B histogram rows read,
+    once each, their L1 summed in uint16."""
     import numpy as np
 
     limit = n * (3 if algorithm == "merge_and_split" else 2)
@@ -268,8 +272,10 @@ def _signature_pass(i, j, gs, row_mask, hist, n: int, algorithm: str):
     keep = np.flatnonzero(x == 0)  # at most ``limit`` bits differ
     i, j = i[keep], j[keep]
     a, b = gs[i], gs[j]
-    A, B = hist[a], hist[b]
-    keep = np.flatnonzero((np.maximum(A, B) - np.minimum(A, B)).sum(axis=1) <= limit)
+    A, B = hist[a], hist[b]  # gathered copies: |A - B| is built in place
+    diff = np.maximum(A, B)
+    diff -= np.minimum(A, B, out=A)
+    keep = np.flatnonzero(np.add.reduce(diff, axis=1, dtype=np.uint16) <= limit)  # <= 64 * 255
     a, b = a[keep], b[keep]
     return np.minimum(a, b), np.maximum(a, b), i[keep], j[keep]
 

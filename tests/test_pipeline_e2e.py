@@ -3,6 +3,7 @@ pairwise F1 >= 0.99 (BASELINE.md targets); determinism; checkpoint resume."""
 
 import os
 
+import pyarrow.compute as pc
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -229,12 +230,10 @@ def _dp_scan_edges(pages, max_distance=2, all_pairs=False):
     url is never paired with itself, and the smallest distance per url
     pair wins.  Blocks of any size are scanned whole."""
     from liblevenshtein_rust_ray.kernel import standard_distance
-    from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch
-    from liblevenshtein_rust_ray.stages.extract import extract_batch
 
     # grouped by Python dicts: pandas' string hashing stops at a NUL, so a
     # pandas groupby merges block keys (and titles) that differ after one
-    keys = blocking_keys_batch(extract_batch(pages))
+    keys = _key_table(pages)
     blocks: dict = {}
     for k, u, s in zip(*(keys.column(c).to_pylist() for c in ("block_key", "url", "key_string"))):
         blocks.setdefault(k, {}).setdefault(s, []).append(u)
@@ -265,6 +264,13 @@ def _dp_scan_edges(pages, max_distance=2, all_pairs=False):
     return sorted((a, b, d) for (a, b), d in best.items())
 
 
+def _key_table(pages):
+    from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch
+    from liblevenshtein_rust_ray.stages.extract import extract_batch
+
+    return blocking_keys_batch(extract_batch(pages))
+
+
 def _sorted_edges(ds):
     # sorted in Python: pandas' multi-key sort factorizes, and its string
     # hashing stops at a NUL, so urls that differ after one tie
@@ -276,7 +282,6 @@ def _sorted_edges(ds):
 def _with_duplicates(tab, n=10):
     """``tab`` plus its first ``n`` pages again under new urls."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     dup = tab.slice(0, n)
     dup = dup.set_column(0, "url", pc.binary_join_element_wise(dup["url"], "/dup", ""))
@@ -412,6 +417,34 @@ def test_er_pairs_reports_scorer_funnel(tmp_path, corpus, monkeypatch):
     c = manifest["counters"]
     assert c["candidate_pairs"] >= c["signature_pairs"] >= c["dp_pairs"] > 0
     assert c["key_rows"] > 0 and c["edges"] == manifest["rows"] > 0
+    keys = _key_table(tab)
+    blocks = keys.group_by("block_key").aggregate([("url", "count")])["url_count"]
+    assert c["paired_rows"] == pc.sum(pc.filter(blocks, pc.greater(blocks, 1))).as_py()
+    assert c["key_rows"] == keys.num_rows > c["paired_rows"]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("plan", ["local", "distributed"])
+def test_er_pairs_text_only_parquet(tmp_path, corpus, plan, monkeypatch):
+    """A parquet file of ``url`` and ``text`` alone (no ``html`` column,
+    no empty text) runs both plans, and gives the edges of the full pages
+    whose canonical text it holds."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from liblevenshtein_rust_ray.stages.extract import extract_batch
+
+    tab, _ = corpus
+    text_only = extract_batch(tab).select(["url", "text"])
+    assert pc.min(pc.utf8_length(text_only["text"])).as_py() > 0
+    assert pc.sum(pc.equal(tab["text"], "")).as_py() > 0  # some pages ship html only
+    path = str(tmp_path / "text_only.parquet")
+    pq.write_table(text_only, path)
+    _force_plan(monkeypatch, plan)
+    stats = {}
+    got = _sorted_edges(er_pairs(path, stats=stats))
+    assert stats["plan"] == plan and stats["pages"] == tab.num_rows
+    pd.testing.assert_frame_equal(got, _sorted_edges(er_pairs(tab)))
 
 
 @pytest.mark.usefixtures("ray_session")

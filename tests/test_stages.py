@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from liblevenshtein_rust_ray.stages.extract import (
     extract_batch,
     extract_text_from_html,
+    page_titles,
 )
 from liblevenshtein_rust_ray.stages.blocking import blocking_keys_batch
 from liblevenshtein_rust_ray.stages.scorer import (
@@ -89,6 +90,69 @@ _HTML_PARTS = [b"<title>", b"</title>", b"<title", b"</p>", b"<", b">", b" ", b"
 def test_extract_whitespace_equals_regex(parts):
     html = b"".join(parts)
     assert extract_text_from_html(html) == _extract_by_regex(html)
+
+
+def _pages(texts, htmls):
+    n = len(texts)
+    return pa.table({
+        "url": [f"https://h.com/{i}" for i in range(n)],
+        "warc_ts": pa.array(list(range(n)), type=pa.timestamp("us")),
+        "html": pa.array(htmls, type=pa.binary()),
+        "text": pa.array(texts, type=pa.string()),
+        "lang": ["en"] * n,
+    })
+
+
+def _assert_titles_match(pages):
+    """``page_titles`` equals ``extract_batch``'s url and title columns,
+    and a batch without ``html`` reads it as all null."""
+    want = extract_batch(pages).select(["url", "title"])
+    assert page_titles(pages).equals(want)
+    no_html = pages.set_column(2, "html", pa.nulls(pages.num_rows, pa.binary()))
+    assert page_titles(pages.drop_columns(["html"])).equals(
+        extract_batch(no_html).select(["url", "title"]))
+
+
+_PAGE_CASES = [  # (text, html)
+    ("", b"<p>no title</p> body text"),
+    ("", b"<title></title>body after an empty title"),
+    (None, b"<title> \t\n </title> whitespace-only title"),
+    ("", "<title>\xa0\u2028\x1c\x0b</title>unicode space title".encode()),
+    ("", b"<title>unclosed title <p>body"),
+    ("", b"<title>A <b>Bold</b> Title</title><p>x</p>"),
+    ("", b"<title>bad \xff utf8 \xc2</title>"),
+    ("", b"<title>nul\x00title</title>x"),
+    ("", b"<TITLE>upper-case tag</TITLE> body"),
+    ("", None), (None, None), ("", b""),
+    ("line one\r\nline two", None), ("\nleading newline", b"<title>t</title>"),
+    ("\x0b vt \x1c fs \xa0 nbsp \u2028 ls\nrest", None), ("x\x00y\nz", None),
+]
+
+
+def test_page_titles_cases():
+    """The listed edge cases, each row on its own and all in one batch."""
+    for text, html in _PAGE_CASES:
+        _assert_titles_match(_pages([text], [html]))
+    _assert_titles_match(_pages(*zip(*_PAGE_CASES)))
+    text_only = _pages(["Some Title\nbody", " t "], [None, None]).select(["url", "text"])
+    assert page_titles(text_only)["title"].to_pylist() == ["some title", "t"]
+
+
+_TEXT_PARTS = ["\n", "\r\n", " ", "\x0b", "\x1c", "\xa0", "\u2028", "\x00", "A", "b", "\xe9"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.none(), st.lists(st.sampled_from(_TEXT_PARTS), max_size=8).map("".join)),
+    st.one_of(st.none(), st.lists(st.one_of(st.sampled_from(_HTML_PARTS + [b"\x00", b"<b>"]),
+                                            st.binary(max_size=4)), max_size=12).map(b"".join)),
+), min_size=1, max_size=8))
+def test_page_titles_equals_extract_batch(rows):
+    """``page_titles`` reads only an html page's ``<title>`` unless its
+    normalized title is empty, and still gives ``extract_batch``'s titles:
+    null, empty and multi-line text, titles missing, empty, unclosed or
+    holding tags, invalid UTF-8, NULs and every kind of whitespace."""
+    _assert_titles_match(_pages(*zip(*rows)))
 
 
 def _block_keys(rows):
@@ -525,6 +589,37 @@ def test_all_pairs_bucket_scorer_matches_block_scorer():
     assert ("u1", "u2", 0) in _edge_set(got)
     empty = score_bucket_vectorized_arrow(tbl.slice(8), emit_all_pairs=True)
     assert empty.num_rows == 0 and empty.schema == _edges_schema()
+
+
+@pytest.mark.parametrize("emit_all_pairs", [False, True])
+def test_scorer_drops_lone_rows_before_encoding(emit_all_pairs):
+    """One-row blocks change neither edges nor funnel: a fresh block whose
+    url and string also occur in other blocks, and a block of two
+    identical rows (a title's duplicate token), which is kept but pairs
+    nothing.  ``paired_rows`` counts the rows of blocks with two or more."""
+    import collections
+
+    rows = list(zip(["b1"] * 4 + ["b2"] * 3 + ["b3"],
+                    ["same title", "same title", "same titel", "other thing",
+                     "same title", "sane title", "other thing", "lonely"],
+                    ["u1", "u2", "u3", "u4", "u5", "u1", "u6", "u7"]))
+    extra = [("fresh", "same titel", "u1"), ("dup", "lonely", "u7"), ("dup", "lonely", "u7")]
+
+    def score(rows):
+        tbl = pa.table({"block_key": [k for k, _s, _u in rows], "url": [u for *_, u in rows],
+                        "key_string": [s for _k, s, _u in rows]})
+        stats: dict = {}
+        out = score_bucket_vectorized_arrow(tbl, stats=stats, emit_all_pairs=emit_all_pairs)
+        sizes = collections.Counter(k for k, _s, _u in rows)
+        assert stats.pop("paired_rows") == sum(sizes[k] > 1 for k, _s, _u in rows)
+        return out, stats
+
+    base, base_stats = score(rows)
+    grown, grown_stats = score(rows + extra)
+    assert base.num_rows and base_stats["dp_pairs"]
+    assert grown.equals(base) and grown_stats == base_stats
+    if emit_all_pairs:
+        assert _edge_set(grown) == _dp_scan_all_pairs(rows + extra)
 
 
 def test_blocking_recall_property():

@@ -4,6 +4,11 @@ schema, value hash) exactly like the round driver does.
 
 Usage: python tools/verify_sf001.py [sf_dir] [query ...]
 (default sf_dir /root/testdata/sf0.01; with query names, checks only those)
+
+Each line: status, query, rows, the engine's seconds (the query call and
+its result as a DataFrame), a 12-hex value hash, and the DuckDB oracle's
+seconds when the query has one, timed apart so an engine A/B reads its
+own column.
 """
 
 import hashlib
@@ -69,14 +74,17 @@ def main():
         qs = {k: v for k, v in qs.items() if k in only}
     report, n_bad = {}, 0
     for name, fn in qs.items():
-        t0 = time.time()
         row = {}
         try:
+            t0 = time.time()
             rdf = to_df(fn(sf_dir))
+            row["sec"] = round(time.time() - t0, 2)
             row["rows"] = len(rdf)
             row["hash"] = value_hash(rdf)[:12]
             if name in oracles:
+                t0 = time.time()
                 odf = con.sql(oracles[name]).df()
+                row["oracle_sec"] = round(time.time() - t0, 2)
                 row["oracle_rows"] = len(odf)
                 row["rows_match"] = len(rdf) == len(odf)
                 row["schema_match"] = sorted(rdf.columns) == sorted(odf.columns)
@@ -89,15 +97,17 @@ def main():
             else:
                 row["oracle"] = None
         except Exception as e:  # noqa: BLE001
+            row.setdefault("sec", round(time.time() - t0, 2))  # the engine failed
             row["err"] = f"{type(e).__name__}: {e}"
             n_bad += 1
-        row["sec"] = round(time.time() - t0, 2)
         report[name] = row
         status = ("OK " if row.get("hash_match") else
                   "--" if "oracle" in row else
                   "ERR" if "err" in row else "BAD")
+        oracle = f"oracle={row['oracle_sec']:.2f}s" if "oracle_sec" in row else ""
         print(f"{status} {name:45s} rows={row.get('rows', '?'):>8} "
-              f"{row['sec']:6.2f}s {row.get('hash', '')} {row.get('err', '')}", flush=True)
+              f"{row['sec']:6.2f}s {row.get('hash', '')} {oracle} {row.get('err', '')}",
+              flush=True)
 
     print(json.dumps({"bad": n_bad, "total": len(qs)}))
     ray.shutdown()
